@@ -159,10 +159,12 @@ class LinearGradientCode:
 
     # ------------------------------------------------------------------ #
     def minimum_decodable_size(self) -> int:
-        """Smallest ``w`` such that *some* worker subset of size ``w`` decodes.
+        """Smallest ``w`` such that some cyclic window of ``w`` workers decodes.
 
-        Used by tests on small codes; exhaustive only over contiguous subsets
-        plus a random sample to stay cheap.
+        Used by tests on small codes. Only the ``n`` cyclically contiguous
+        subsets of each size are tried, so the result is an upper bound on
+        the minimum over all subsets (exact for codes whose decodability
+        depends only on the subset size).
         """
         for size in range(1, self.num_workers + 1):
             for start in range(self.num_workers):
@@ -179,14 +181,22 @@ class LinearGradientCode:
             )
 
     def _check_workers(self, workers: Sequence[int] | np.ndarray) -> np.ndarray:
-        workers = np.asarray(workers, dtype=int)
-        if workers.ndim != 1 or workers.size == 0:
+        indices = np.asarray(workers)
+        if indices.ndim != 1 or indices.size == 0:
             raise DecodingError("workers must be a non-empty 1-D index sequence")
-        if np.unique(workers).size != workers.size:
+        if indices.dtype.kind not in "iu":
+            # No truncating cast: a float or boolean index is a caller bug.
+            raise DecodingError(
+                f"worker indices must be integers, got {indices.dtype} values"
+            )
+        if np.unique(indices).size != indices.size:
             raise DecodingError("workers must not contain duplicates")
-        for worker in workers:
-            self._check_worker(int(worker))
-        return workers
+        if indices.min() < 0 or indices.max() >= self.num_workers:
+            raise DecodingError(
+                f"worker indices must lie in [0, {self.num_workers}), got "
+                f"{indices.min()}..{indices.max()}"
+            )
+        return indices
 
     def __repr__(self) -> str:
         return (

@@ -309,27 +309,29 @@ class CodedAggregator(MasterAggregator):
         self._workers.append(worker)
         if message is not None:
             self._messages[worker] = np.asarray(message, dtype=float)
-        # Only run the (comparatively expensive, O(n^3) rank) decodability
-        # check at the first plausible completion point — the worst-case
-        # threshold ``n - s`` — and every ``check_every`` arrivals after it,
-        # plus unconditionally on the last worker so completion is never
-        # skipped past. Opportunistic codes (fractional repetition overrides
-        # ``is_decodable`` with a cheap group test) are checked every arrival.
-        if not self._complete:
-            count = len(self._workers)
-            if self.opportunistic:
-                due = True
-            elif count < self._minimum_needed:
-                due = False
-            else:
-                due = (
-                    (count - self._minimum_needed) % self._check_every == 0
-                    or count >= self._code.num_workers
-                )
-            if due:
-                self._decodability_checks += 1
-                self._complete = self._code.is_decodable(self._workers)
+        if not self._complete and self.is_due(len(self._workers)):
+            self._decodability_checks += 1
+            self._complete = self._code.is_decodable(self._workers)
         return True
+
+    def is_due(self, count: int) -> bool:
+        """Whether the decodability test runs when the ``count``-th worker arrives.
+
+        The (comparatively expensive, O(n^3) rank) test first runs at the
+        worst-case threshold ``n - s``, then every ``check_every`` arrivals
+        after it, plus unconditionally on the last worker so completion is
+        never skipped past. Opportunistic codes (fractional repetition
+        overrides ``is_decodable`` with a cheap group test) are tested on
+        every arrival. Both timing engines take the cadence from here.
+        """
+        if self.opportunistic:
+            return True
+        if count < self._minimum_needed:
+            return False
+        return (
+            (count - self._minimum_needed) % self._check_every == 0
+            or count >= self._code.num_workers
+        )
 
     @property
     def decodability_checks(self) -> int:
@@ -340,16 +342,6 @@ class CodedAggregator(MasterAggregator):
     def code(self) -> LinearGradientCode:
         """The linear gradient code deciding decodability."""
         return self._code
-
-    @property
-    def check_every(self) -> int:
-        """Decodability-check cadence past the worst-case threshold."""
-        return self._check_every
-
-    @property
-    def minimum_needed(self) -> int:
-        """Arrival count at which the first decodability check is due."""
-        return self._minimum_needed
 
     @property
     def opportunistic(self) -> bool:

@@ -47,8 +47,8 @@ Completion kernels exist for every built-in aggregator: fixed worker set
 (uncoded, load-balanced), arrival count (ignore-stragglers), batch
 coupon-collector coverage (BCC), unit coverage (randomized,
 generalized-BCC), replication-group completion (fractional repetition), and
-a prefix-decodability walk replicating :class:`CodedAggregator`'s
-``check_every`` cadence (cyclic repetition, Reed-Solomon). Schemes with a
+a prefix-decodability walk over :meth:`CodedAggregator.is_due`'s
+checkpoints (cyclic repetition, Reed-Solomon). Schemes with a
 custom aggregator fall back to a scalar completion scan that feeds the
 plan's own aggregator — draws and arrival times stay vectorized, so the
 fallback is still far faster than the loop engine.
@@ -89,7 +89,6 @@ import numpy as np
 from repro.cluster.dynamic import DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.coding.fractional import FractionalRepetitionCode
-from repro.coding.linear_code import LinearGradientCode
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.approximate import PartialSumAggregator
 from repro.schemes.base import (
@@ -828,78 +827,18 @@ def _coded_kernel(
             positions, members, group_starts
         )
 
-    # Generic linear code: find each iteration's first decodable arrival
-    # prefix among the checkpoints of CodedAggregator's decodability-check
-    # cadence (first plausible completion at the worst-case threshold, then
-    # every ``check_every`` arrivals, unconditionally on the last worker;
-    # opportunistic codes are checked on every arrival). The cadence
-    # parameters are read off the probe aggregator so the two code paths
-    # cannot drift apart.
-    check_every = probe.check_every
-    opportunistic = probe.opportunistic
-    minimum_needed = probe.minimum_needed
-
-    def due_ranks() -> List[int]:
-        ranks = []
-        for rank in range(n_active):
-            count = rank + 1
-            if opportunistic:
-                due = True
-            elif count < minimum_needed:
-                due = False
-            else:
-                due = (
-                    (count - minimum_needed) % check_every == 0
-                    or count >= code.num_workers
-                )
-            if due:
-                ranks.append(rank)
-        return ranks
-
-    if type(code).is_decodable is LinearGradientCode.is_decodable:
-        # For an unmodified linear code, decodability is monotone in the
-        # worker set (appending rows can only grow the row space), so the
-        # first decodable checkpoint can be bisected instead of walked:
-        # O(log checkpoints) decodability tests per iteration instead of
-        # O(checkpoints). Subclasses overriding ``is_decodable`` may break
-        # monotonicity and keep the sequential walk below.
-        checkpoints = due_ranks()
-
-        def bisect_kernel(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
-            completing = np.full(positions.shape[0], n_active, dtype=int)
-            for i in range(positions.shape[0]):
-                row_workers = active[order[i]]
-                lo, hi = 0, len(checkpoints)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    prefix = row_workers[: checkpoints[mid] + 1]
-                    if code.is_decodable(prefix.tolist()):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                if lo < len(checkpoints):
-                    completing[i] = checkpoints[lo]
-            return completing
-
-        return bisect_kernel
+    # Generic linear code: test the due checkpoints of each iteration's
+    # arrival prefix in order and stop at the first decodable one, exactly
+    # the search CodedAggregator runs (no monotonicity is assumed, so codes
+    # overriding ``is_decodable`` take the same path).
+    checkpoints = [rank for rank in range(n_active) if probe.is_due(rank + 1)]
 
     def walk_kernel(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
         completing = np.full(positions.shape[0], n_active, dtype=int)
         for i in range(positions.shape[0]):
-            workers: List[int] = []
-            for rank in range(n_active):
-                workers.append(int(active[order[i, rank]]))
-                count = rank + 1
-                if opportunistic:
-                    due = True
-                elif count < minimum_needed:
-                    due = False
-                else:
-                    due = (
-                        (count - minimum_needed) % check_every == 0
-                        or count >= code.num_workers
-                    )
-                if due and code.is_decodable(workers):
+            workers = active[order[i]].tolist()
+            for rank in checkpoints:
+                if code.is_decodable(workers[: rank + 1]):
                     completing[i] = rank
                     break
         return completing

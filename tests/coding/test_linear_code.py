@@ -87,6 +87,30 @@ class TestEncodeDecode:
         with pytest.raises(DecodingError):
             simple_code.decoding_vector([0, 7])
 
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            [0, 1.9],  # would truncate to [0, 1], which decodes
+            [0.2, 1.7, 2.9],
+            [True, False],
+            np.array([True, True, True]),
+            [0, 3],
+            [-1, 0],
+            [0, 1, 1],
+            [],
+        ],
+    )
+    def test_invalid_worker_indices_rejected(self, simple_code, workers):
+        with pytest.raises(DecodingError):
+            simple_code.decoding_vector(workers)
+        assert not simple_code.is_decodable(workers)
+        with pytest.raises(DecodingError):
+            simple_code.decode(workers, np.zeros((len(workers), 2)))
+
+    def test_integer_arrays_of_any_width_accepted(self, simple_code):
+        for dtype in (np.int8, np.uint16, np.int64):
+            assert simple_code.is_decodable(np.array([1, 0], dtype=dtype))
+
     def test_minimum_decodable_size(self, simple_code):
         assert simple_code.minimum_decodable_size() == 1  # worker 2 alone decodes
 

@@ -9,12 +9,17 @@ compares every metric exactly; the summaries are compared with plain dict
 equality for the same reason.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cluster.spec import ClusterSpec
+from repro.coding.fractional import FractionalRepetitionCode
+from repro.coding.linear_code import LinearGradientCode
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.base import (
+    CodedAggregator,
     ExecutionPlan,
     MasterAggregator,
     sum_encoder,
@@ -376,6 +381,137 @@ class TestFallbackAndEdgeCases:
         cluster = ClusterSpec.homogeneous(4, DeterministicDelay(1.0))
         with pytest.raises(SimulationError):
             simulate_job_vectorized(plan, cluster, 10, 2, rng=0)
+
+
+class EvenTailCode(LinearGradientCode):
+    """Decodable only while the latest arrival has an even index (or all are in).
+
+    Overriding ``is_decodable`` makes the code opportunistic (tested on every
+    arrival), and the rule is not monotone: a decodable prefix stops being
+    decodable when an odd-indexed worker arrives next.
+    """
+
+    def is_decodable(self, workers):
+        last_even = workers[-1] % 2 == 0 or len(workers) == self.num_workers
+        return last_even and super().is_decodable(workers)
+
+
+class OverclaimedCode(LinearGradientCode):
+    """Plain linear code claiming more stragglers than it tolerates.
+
+    ``is_decodable`` is the base class's, but the first decodability
+    checkpoint (``n - num_stragglers`` arrivals) often does not decode, so
+    the completion search has to advance past it.
+    """
+
+    num_stragglers = 8
+
+
+def record_decodability_queries(plan, cluster, num_units, *, seed=11, num_iterations=6):
+    """Run both engines on ``plan``, logging every decodability query.
+
+    Returns both results, each engine's query log (the worker prefixes
+    handed to ``is_decodable``, in call order) and the loop engine's
+    per-iteration ``decodability_checks``. The wrapper is set on the code
+    *instance*, so ``type(code).is_decodable`` and every dispatch on it stay
+    untouched.
+    """
+    code = plan.new_aggregator().code
+    unwrapped = code.is_decodable
+    queries = []
+
+    def logged(workers):
+        queries.append(tuple(workers))
+        return unwrapped(workers)
+
+    aggregators = []
+
+    def recording_factory():
+        aggregators.append(plan.aggregator_factory())
+        return aggregators[-1]
+
+    code.is_decodable = logged
+    loop = simulate_job(
+        dataclasses.replace(plan, aggregator_factory=recording_factory),
+        cluster,
+        num_units,
+        num_iterations,
+        rng=seed,
+    )
+    loop_queries, queries[:] = list(queries), []
+    vectorized = simulate_job_vectorized(
+        plan, cluster, num_units, num_iterations, rng=seed
+    )
+    checks = [aggregator.decodability_checks for aggregator in aggregators]
+    return loop, vectorized, loop_queries, list(queries), checks
+
+
+def coded_cluster(num_workers):
+    return ClusterSpec.homogeneous(
+        num_workers,
+        ShiftedExponentialDelay(straggling=1.0, shift=0.01),
+        LinearCommunicationModel(latency=0.05, seconds_per_unit=0.02),
+    )
+
+
+class TestCodedPrefixCompletion:
+    """The vectorized coded kernel runs exactly the loop engine's search."""
+
+    @pytest.mark.parametrize("check_every", [1, 3])
+    @pytest.mark.parametrize("load", [5, 25])
+    @pytest.mark.parametrize("name", ["cyclic-repetition", "reed-solomon"])
+    def test_decodability_checks_match_the_loop(self, name, load, check_every):
+        cluster = coded_cluster(30)
+        config = {"name": name, "load": load, "check_every": check_every}
+        plan = scheme_from_config(config, cluster=cluster).build_plan(30, 30, rng=3)
+        loop, vectorized, loop_queries, queries, checks = (
+            record_decodability_queries(plan, cluster, 30)
+        )
+        assert_identical(loop, vectorized)
+        assert len(queries) == sum(checks)
+        assert queries == loop_queries
+        # The worst-case designs decode at the first checkpoint, n - s
+        # arrivals: one decodability solve per iteration.
+        assert checks == [1] * loop.num_iterations
+
+    def test_non_monotone_opportunistic_code(self):
+        cluster = coded_cluster(12)
+        base = scheme_from_config(
+            {"name": "cyclic-repetition", "load": 3}, cluster=cluster
+        ).build_plan(12, 12)
+        code = EvenTailCode(base.metadata["code"].encoding_matrix)
+        assert code.is_decodable(list(range(1, 11)))
+        assert not code.is_decodable(list(range(1, 12)))  # odd worker 11 arrived
+        plan = dataclasses.replace(
+            base, aggregator_factory=lambda: CodedAggregator(code)
+        )
+        loop, vectorized, loop_queries, queries, checks = (
+            record_decodability_queries(plan, cluster, 12, num_iterations=9)
+        )
+        assert_identical(loop, vectorized)
+        assert queries == loop_queries
+        assert len(queries) == sum(checks)
+
+    @pytest.mark.parametrize("check_every", [1, 2])
+    def test_walk_advances_past_an_undecodable_first_checkpoint(self, check_every):
+        cluster = coded_cluster(12)
+        base = scheme_from_config(
+            {"name": "fractional-repetition", "load": 3}, cluster=cluster
+        ).build_plan(12, 12)
+        code = OverclaimedCode(FractionalRepetitionCode(12, 2).encoding_matrix)
+        assert type(code).is_decodable is LinearGradientCode.is_decodable
+        plan = dataclasses.replace(
+            base,
+            aggregator_factory=lambda: CodedAggregator(code, check_every=check_every),
+        )
+        loop, vectorized, loop_queries, queries, checks = (
+            record_decodability_queries(plan, cluster, 12, num_iterations=12)
+        )
+        assert_identical(loop, vectorized)
+        assert queries == loop_queries
+        assert len(queries) == sum(checks)
+        assert min(len(query) for query in queries) == 12 - code.num_stragglers
+        assert max(checks) > 1, "no iteration had to advance past a checkpoint"
 
 
 class TestEngineKnob:
