@@ -1,69 +1,33 @@
-"""Compiled completion kernels for the vectorized timing engine.
+"""Completion kernels for the vectorized timing engine.
 
 The vectorized engine's hot path is five tight array kernels — the
 serialized-master-link arrival recurrence and the per-scheme completion
 searches (fixed-set count, arrival-count selection, coverage
-coupon-collector, replication-group completion). This package provides those
-kernels behind one call surface (:class:`KernelSuite`) with three
-interchangeable backends, selected by the ``kernels=`` knob that
-``simulate_job`` / ``simulate_job_batch`` / ``TimingSimBackend`` / the sweep
-CLI expose:
+coupon-collector, replication-group completion). They sit behind one call
+surface, :class:`KernelSuite`, with one implementation: the NumPy
+expressions in :mod:`~repro.simulation.kernels.numpy_impl`.
 
-``"numpy"``
-    The reference implementation (:mod:`~repro.simulation.kernels.numpy_impl`)
-    — the exact pre-kernel expressions, always available.
-``"numba"``
-    ``@njit(cache=True, parallel=True)``-compiled
-    :mod:`~repro.simulation.kernels.sources` functions. Numba is a **soft
-    dependency**: never required by tier-1 tests, probed at dispatch time.
-``"cext"``
-    The same kernels translated to C, compiled on first use with the system
-    C compiler and called through ctypes
-    (:mod:`~repro.simulation.kernels.cext`) — compiled-kernel speed on
-    machines with a C toolchain but no numba.
-``"auto"``
-    ``"numba"`` when importable, else ``"numpy"``. Deliberately *not*
-    ``"cext"``: auto must never spend seconds probing a C toolchain (or
-    fail on half-working ones) on the default path; the C backend is an
-    explicit opt-in.
-
-Every backend is bit-identical to ``"numpy"`` at fixed seeds: the float
-kernel replays the reference's per-row op order and the completion kernels
-return integer selections. The parity suite
-(``tests/simulation/test_kernel_parity.py``) pins this for every available
-backend, and the ``KERN001`` lint rule machine-enforces the nopython
-contract on the shared sources.
+The engine fetches its suite through :func:`get_suite` (looked up as
+``repro.simulation.vectorized.get_suite`` on every run), which is the seam a
+profiler or a test uses to wrap or substitute the kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.simulation.kernels import numpy_impl
 
-__all__ = [
-    "KERNELS",
-    "KernelSuite",
-    "available_kernel_backends",
-    "get_suite",
-    "kernels_available",
-    "resolve_kernels",
-    "validate_kernels",
-]
-
-#: Recognised values for the ``kernels=`` knob across the stack.
-KERNELS = ("auto", "numba", "cext", "numpy")
-
-#: The concrete backends ``resolve_kernels`` can return.
-KERNEL_BACKENDS = ("numba", "cext", "numpy")
+__all__ = ["KernelSuite", "get_suite", "resolve_kernels"]
 
 
 @dataclass(frozen=True)
 class KernelSuite:
-    """One backend's implementations of the five hot-path kernels.
+    """The implementations of the five hot-path kernels.
 
     All arrays are row-major with independent rows; every callable
     allocates and returns its output. ``positions`` matrices hold each
@@ -82,113 +46,30 @@ class KernelSuite:
     group_completion: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def validate_kernels(kernels: str) -> str:
-    """Validate a ``kernels`` knob value, returning it unchanged.
-
-    The single source of the unknown-backend error for every knob (engine
-    entry points, ``TimingSimBackend``, the CLI's argparse choices).
-    """
-    if kernels not in KERNELS:
-        raise ConfigurationError(
-            f"unknown kernels backend {kernels!r}; expected one of {list(KERNELS)}"
-        )
-    return kernels
-
-
-_suites: Dict[str, KernelSuite] = {}
-_probe_errors: Dict[str, str] = {}
-
-
-def _probe(name: str) -> Optional[KernelSuite]:
-    """Load a concrete backend's suite, memoizing success *and* failure."""
-    if name in _suites:
-        return _suites[name]
-    if name in _probe_errors:
-        return None
-    if name == "numpy":
-        from repro.simulation.kernels import numpy_impl as impl
-
-        suite = KernelSuite(
-            name="numpy",
-            link_recurrence=impl.link_recurrence,
-            count_completion=impl.count_completion,
-            partial_sum_completion=impl.partial_sum_completion,
-            coverage_completion=impl.coverage_completion,
-            group_completion=impl.group_completion,
-        )
-    elif name == "numba":
-        try:
-            from repro.simulation.kernels import numba_impl
-        except ImportError as error:
-            _probe_errors[name] = (
-                f"numba is not installed ({error}); install numba or use "
-                "kernels='auto'/'numpy'"
-            )
-            return None
-        suite = KernelSuite(
-            name="numba",
-            link_recurrence=numba_impl.link_recurrence,
-            count_completion=numba_impl.count_completion,
-            partial_sum_completion=numba_impl.partial_sum_completion,
-            coverage_completion=numba_impl.coverage_completion,
-            group_completion=numba_impl.group_completion,
-        )
-    else:  # cext
-        from repro.simulation.kernels import cext
-
-        try:
-            callables = cext.load_suite()
-        except ConfigurationError as error:
-            _probe_errors[name] = str(error)
-            return None
-        suite = KernelSuite(name="cext", **callables)
-    _suites[name] = suite
-    return suite
-
-
-def kernels_available(name: str) -> bool:
-    """Whether a concrete backend (``numba``/``cext``/``numpy``) can run here."""
-    if name not in KERNEL_BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernels backend {name!r}; expected one of "
-            f"{list(KERNEL_BACKENDS)}"
-        )
-    return _probe(name) is not None
-
-
-def available_kernel_backends() -> tuple:
-    """The concrete backends usable in this environment, in dispatch order."""
-    return tuple(name for name in KERNEL_BACKENDS if kernels_available(name))
+_NUMPY_SUITE = KernelSuite(
+    name="numpy",
+    link_recurrence=numpy_impl.link_recurrence,
+    count_completion=numpy_impl.count_completion,
+    partial_sum_completion=numpy_impl.partial_sum_completion,
+    coverage_completion=numpy_impl.coverage_completion,
+    group_completion=numpy_impl.group_completion,
+)
 
 
 def resolve_kernels(kernels: str) -> str:
-    """Resolve a ``kernels`` knob value to a concrete, available backend.
+    """The kernel implementation a name selects: always ``"numpy"``.
 
-    ``"auto"`` prefers numba and falls back to numpy silently (the soft-
-    dependency contract); explicitly requesting an unavailable backend is a
-    :class:`~repro.exceptions.ConfigurationError` carrying the probe's
-    failure reason.
+    Accepts ``"auto"`` and ``"numpy"``; anything else is a
+    :class:`~repro.exceptions.ConfigurationError`.
     """
-    validate_kernels(kernels)
-    if kernels == "auto":
-        return "numba" if kernels_available("numba") else "numpy"
-    if not kernels_available(kernels):
+    if kernels not in ("auto", "numpy"):
         raise ConfigurationError(
-            f"kernels={kernels!r} requested but the backend is unavailable: "
-            f"{_probe_errors.get(kernels, 'unknown probe failure')}"
+            f"unknown kernels {kernels!r}; the only implementation is 'numpy'"
         )
-    return kernels
+    return "numpy"
 
 
-def get_suite(kernels: str) -> KernelSuite:
-    """Resolve a knob value and return the backing :class:`KernelSuite`."""
-    suite = _probe(resolve_kernels(kernels))
-    if suite is None:  # pragma: no cover - resolve_kernels guarantees otherwise
-        raise ConfigurationError(f"kernels backend {kernels!r} failed to load")
-    return suite
-
-
-def _reset_probe_cache() -> None:
-    """Forget memoized probe results (test hook for simulating absence)."""
-    _suites.clear()
-    _probe_errors.clear()
+def get_suite(kernels: str = "numpy") -> KernelSuite:
+    """The :class:`KernelSuite` ``kernels`` resolves to."""
+    resolve_kernels(kernels)
+    return _NUMPY_SUITE

@@ -1,17 +1,11 @@
-"""The NumPy kernel backend — the reference the compiled backends pin against.
+"""The NumPy completion kernels behind :class:`~repro.simulation.kernels.KernelSuite`.
 
 These are the exact expressions :mod:`repro.simulation.vectorized` ran
-before the kernel layer existed, lifted behind the
-:class:`~repro.simulation.kernels.KernelSuite` call surface: the
-serialized-link recurrence evaluated column by column (every row reproduces
-the loop engine's float-op order — a cumsum/running-max rewrite would be
-algebraically equal but rounded differently), and the completion kernels as
-row-wise selections (``max``/``sort``/``reduceat``). The compiled backends
-must return bit-identical arrays; the parity suite enforces it.
-
-Always available — ``kernels="numpy"`` (and ``"auto"`` without an installed
-accelerator) lands here, so tier-1 behaviour is byte-for-byte the pre-kernel
-engine's.
+before the kernel layer existed: the serialized-link recurrence evaluated
+column by column (every row reproduces the loop engine's float-op order — a
+cumsum/running-max rewrite would be algebraically equal but rounded
+differently), and the completion kernels as row-wise selections
+(``max``/``sort``/``reduceat``).
 """
 
 from __future__ import annotations

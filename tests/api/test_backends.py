@@ -14,11 +14,14 @@ from repro.api import (
     get_backend,
     run,
 )
+from repro.api.fingerprint import backend_identity
 from repro.cluster.dynamic import DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.datasets.batching import make_batches
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.optim.nesterov import NesterovAcceleratedGradient
+from repro.simulation.kernels import resolve_kernels
+from repro.simulation.vectorized import ENGINES
 from repro.stragglers.dynamics import WorkerProcess
 from repro.stragglers.models import DeterministicDelay, ExponentialDelay
 
@@ -128,6 +131,29 @@ class TestTimingBackend:
         )
         with pytest.raises(ConfigurationError, match="warp_speed"):
             TimingSimBackend().run(spec)
+
+    def test_numpy_is_the_only_kernel_implementation(self, cluster):
+        # perfbench records resolve_kernels("auto") in its provenance.
+        assert resolve_kernels("auto") == "numpy"
+        for retired in ("numba", "cext"):
+            with pytest.raises(ConfigurationError, match="only implementation"):
+                resolve_kernels(retired)
+        spec = JobSpec(
+            scheme="uncoded",
+            cluster=cluster,
+            num_units=10,
+            num_iterations=2,
+            backend_options={"kernels": "numpy"},
+        )
+        with pytest.raises(ConfigurationError, match="does not understand"):
+            TimingSimBackend().run(spec)
+        # The engine is the backend's whole cache identity.
+        for engine in ENGINES:
+            backend = TimingSimBackend(engine=engine)
+            assert vars(backend) == {"engine": engine}
+            assert backend_identity(backend) == backend_identity(
+                TimingSimBackend(engine=engine)
+            )
 
     def test_requires_cluster(self):
         spec = JobSpec(scheme="uncoded", num_units=10)
