@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.cluster.spec import ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.schemes.randomized import SimpleRandomizedScheme
-from repro.schemes.registry import scheme_from_config
+from repro.schemes.registry import available_schemes, scheme_accepts, scheme_from_config
 from repro.schemes.uncoded import UncodedScheme
 
 
@@ -70,6 +71,15 @@ class TestSimpleRandomizedScheme:
 
 
 class TestRegistry:
+    def test_all_names_constructible(self):
+        cluster = ClusterSpec.paper_fig5_cluster(num_workers=12, num_fast=2)
+        for name in available_schemes():
+            config = {"name": name}
+            if scheme_accepts(name, "load"):
+                config["load"] = 2
+            scheme = scheme_from_config(config, cluster=cluster)
+            assert scheme.name == name
+
     def test_bcc_and_uncoded_types(self):
         from repro.schemes.bcc import BCCScheme
 
