@@ -207,11 +207,12 @@ class BatchPathParityRule(Rule):
         "inherited path is bit-exact for it."
     )
 
-    # Required batch paths per contract root. CommunicationModel's
-    # sample_trials is defined in terms of *instance-dispatched*
-    # sample_batch, so overriding sample_batch alone keeps every path
-    # consistent; DelayModel's grid/trials paths dispatch per-class and must
-    # each be addressed.
+    # Required batch paths per contract root. CommunicationModel's only
+    # batch path is the *instance-dispatched* sample_batch (the fused draw
+    # in DelayModel.sample_trials also needs split_jitter, which returns
+    # None unless the unmodified sampler is in use), so overriding
+    # sample_batch alone keeps every path consistent; DelayModel's
+    # grid/trials paths dispatch per-class and must each be addressed.
     _ROOTS: Dict[str, Set[str]] = {
         "DelayModel": {"sample_batch", "sample_grid", "sample_trials"},
         "CommunicationModel": {"sample_batch"},

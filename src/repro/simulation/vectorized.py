@@ -21,22 +21,40 @@ The loop engine consumes the job's random stream in this order:
 The vectorized engine is bit-identical to the loop at a fixed seed because it
 replays exactly that consumption order:
 
-* Computation times are drawn through
-  :meth:`~repro.stragglers.base.DelayModel.sample_grid`, whose contract is a
-  row-major (iteration-major, worker-minor) fill that consumes the stream
-  like the scalar loop. NumPy's broadcast samplers fill C-order element by
-  element, so a single batched call preserves the stream.
-* A **deterministic** communication model (``is_deterministic`` true, e.g.
-  jitter-free :class:`~repro.stragglers.communication.LinearCommunicationModel`
-  or :class:`~repro.stragglers.communication.ZeroCommunicationModel`) draws
-  nothing in either engine, so the whole compute matrix can be drawn in one
-  call: the stream holds nothing but compute draws, iteration-major, in both
-  engines.
-* A **stochastic** communication model interleaves transfer draws between
-  iterations, so the engine switches to a per-iteration draw schedule (one
-  ``sample_grid`` row, then one batched transfer draw in completion order)
-  that reproduces the interleaving; everything downstream of the draws
-  (arrival recurrence, completion search, metrics) stays batched.
+* Stationary draws go through one
+  :meth:`~repro.stragglers.base.DelayModel.sample_trials` call with
+  ``link=(communication, message_sizes)``, dispatched to the active models'
+  leading class, which owns the draw schedule:
+
+  * Computation times follow
+    :meth:`~repro.stragglers.base.DelayModel.sample_grid`'s contract, a
+    row-major (iteration-major, worker-minor) fill that consumes the stream
+    like the scalar loop. NumPy's broadcast samplers fill C-order element by
+    element, so a single batched call preserves the stream.
+  * A **deterministic** communication model (``is_deterministic`` true,
+    e.g. jitter-free
+    :class:`~repro.stragglers.communication.LinearCommunicationModel` or
+    :class:`~repro.stragglers.communication.ZeroCommunicationModel`) draws
+    nothing in either engine, so the whole compute matrix is drawn in one
+    call: the stream holds nothing but compute draws, iteration-major, in
+    both engines.
+  * A **stochastic** communication model interleaves transfer draws between
+    iterations, so the generic schedule is per iteration (one
+    ``sample_grid`` row, then one batched transfer draw in completion
+    order); everything downstream of the draws (arrival recurrence,
+    completion search, metrics) stays batched.
+  * **Fused exponential draws.** When every active worker is a native
+    :class:`~repro.stragglers.models.ShiftedExponentialDelay` (or
+    :class:`~repro.stragglers.models.ExponentialDelay`) and the link is a
+    native jittered ``LinearCommunicationModel`` — the paper's EC2 cluster —
+    every draw of that interleave is a scaled standard exponential. One
+    ``standard_exponential((iterations, 2 * n))`` block per trial then
+    replays the stream bit for bit, and leaves the generator in the same
+    state: compute is ``shift * load + (load / mu) * block[:, :n]``, and
+    ``block[:, n:]`` holds each row's jitter in completion order, scattered
+    back to worker order through the stable argsort of compute. Models that
+    cannot prove the identity take the same call's generic schedule.
+
 * The serialized-link recurrence and all completion kernels are pure
   computation: they consume no randomness and reproduce the loop's
   floating-point operation order (``max`` then ``+``, metric reductions over
@@ -58,9 +76,11 @@ Trial batching
 :func:`simulate_job_batch` adds a third axis: it simulates ``T`` independent
 Monte-Carlo *trials* of the same job in one engine entry. The plan is
 resolved once, one ``(trials x iterations x workers)`` tensor of computation
-draws is produced through :meth:`~repro.stragglers.base.DelayModel.sample_trials`,
-and the arrival recurrence + completion kernels run over the stacked
-``(trials * iterations, workers)`` row matrix — rows are independent, so the
+draws and its matching transfer tensor are produced by one
+:meth:`~repro.stragglers.base.DelayModel.sample_trials` call per trial chunk
+(for the paper's EC2 cluster, the fused exponential block of every trial in
+the chunk), and the arrival recurrence + completion kernels run over the
+stacked ``(trials * iterations, workers)`` row matrix — rows are independent, so the
 per-row machinery of :func:`_complete_batch` applies unchanged. The **RNG
 contract** extends the solo engine's:
 
@@ -76,8 +96,9 @@ contract** extends the solo engine's:
   statements coincide: every trial matches a solo *scheme* run at its seed.
 
 Memory stays bounded: trials are processed in chunks so the stacked row
-matrices never exceed ``_BATCH_CELL_BUDGET`` cells, whatever the trial
-count.
+matrices — and, on a stochastic stationary link, the ``(trials, iterations,
+2 * workers)`` fused draw block — never exceed ``_BATCH_CELL_BUDGET`` cells,
+whatever the trial count.
 """
 
 from __future__ import annotations
@@ -281,45 +302,41 @@ def simulate_job_batch(
     n_active = int(active.size)
 
     # Chunk the trial axis so the stacked row matrices stay memory-bounded;
-    # chunk boundaries fall between whole trials and every row is
-    # independent, so the chunking is invisible in the results.
-    trials_per_chunk = max(1, _BATCH_CELL_BUDGET // max(num_iterations * n_active, 1))
+    # a stochastic stationary link may take the fused draw, whose block is
+    # (trials, iterations, 2 * workers). Chunk boundaries fall between whole
+    # trials and every row is independent, so the chunking is invisible in
+    # the results.
+    row_width = n_active if dynamic or communication.is_deterministic else 2 * n_active
+    trials_per_chunk = max(1, _BATCH_CELL_BUDGET // max(num_iterations * row_width, 1))
     results: List[JobResult] = []
     for start in range(0, len(generators), trials_per_chunk):
         chunk = generators[start : start + trials_per_chunk]
-        if not dynamic and communication.is_deterministic:
-            # The 3-D fast path: one tensor through sample_trials (trial-
-            # major, so the C-order reshape keeps each trial's rows intact).
-            compute = type(active_models[0]).sample_trials(
-                active_models, active_loads, chunk, num_iterations
-            ).reshape(len(chunk) * num_iterations, n_active)
-            transfer = np.broadcast_to(
-                communication.sample_batch(active_sizes), compute.shape
-            )
-        else:
+        if dynamic:
             compute = np.empty((len(chunk) * num_iterations, n_active), dtype=float)
             transfer = np.empty_like(compute)
             for t, generator in enumerate(chunk):
                 rows = slice(t * num_iterations, (t + 1) * num_iterations)
-                if dynamic:
-                    compute[rows], transfer[rows] = _draw_dynamic_matrices(
-                        cluster,
-                        plan,
-                        active,
-                        active_loads,
-                        active_sizes,
-                        generator,
-                        num_iterations,
-                    )
-                else:
-                    compute[rows], transfer[rows] = _draw_stationary_matrices(
-                        active_models,
-                        active_loads,
-                        active_sizes,
-                        communication,
-                        generator,
-                        num_iterations,
-                    )
+                compute[rows], transfer[rows] = _draw_dynamic_matrices(
+                    cluster,
+                    plan,
+                    active,
+                    active_loads,
+                    active_sizes,
+                    generator,
+                    num_iterations,
+                )
+        else:
+            # Trial-major tensors, so the C-order reshape keeps each trial's
+            # rows intact.
+            compute, transfer = type(active_models[0]).sample_trials(
+                active_models,
+                active_loads,
+                chunk,
+                num_iterations,
+                link=(communication, active_sizes),
+            )
+            compute = compute.reshape(-1, n_active)
+            transfer = transfer.reshape(-1, n_active)
         outcomes = _complete_batch(
             plan, active, message_sizes, compute, transfer, serialize_master_link,
             suite,
@@ -355,44 +372,6 @@ def _active_arrays(plan: ExecutionPlan, cluster, unit_size: int):
         raise _infeasible(plan)
     message_sizes = np.asarray(plan.message_sizes, dtype=float)
     return active, loads_examples[active], message_sizes, message_sizes[active]
-
-
-def _draw_stationary_matrices(
-    active_models: List[DelayModel],
-    active_loads: np.ndarray,
-    active_sizes: np.ndarray,
-    communication,
-    generator: np.random.Generator,
-    num_iterations: int,
-) -> tuple:
-    """One trial's ``(num_iterations, n_active)`` compute/transfer matrices.
-
-    The single shared implementation of the stationary draw schedule (see
-    the module docstring): one batched grid draw under a deterministic
-    communication model, the per-iteration compute/transfer interleave under
-    a stochastic one.
-    """
-    if communication.is_deterministic:
-        compute = _draw_compute_grid(
-            active_models, active_loads, generator, num_iterations
-        )
-        transfer = np.broadcast_to(
-            communication.sample_batch(active_sizes), compute.shape
-        )
-    else:
-        # Stochastic transfers interleave with compute draws iteration by
-        # iteration; reproduce the loop's schedule (see module docstring).
-        n_active = int(active_loads.size)
-        compute = np.empty((num_iterations, n_active), dtype=float)
-        transfer = np.empty((num_iterations, n_active), dtype=float)
-        for i in range(num_iterations):
-            row = _draw_compute_grid(active_models, active_loads, generator, 1)[0]
-            compute[i] = row
-            order = np.argsort(row, kind="stable")
-            transfer[i, order] = communication.sample_batch(
-                active_sizes[order], generator
-            )
-    return compute, transfer
 
 
 def _draw_dynamic_matrices(
@@ -466,16 +445,21 @@ def _simulate_plan_batch(
     )
     models = cluster.delay_models()
     active_models = [models[int(worker)] for worker in active]
-    compute, transfer = _draw_stationary_matrices(
+    compute, transfer = type(active_models[0]).sample_trials(
         active_models,
         active_loads,
-        active_sizes,
-        cluster.communication,
-        generator,
+        [generator],
         num_iterations,
+        link=(cluster.communication, active_sizes),
     )
     return _complete_batch(
-        plan, active, message_sizes, compute, transfer, serialize_master_link, suite
+        plan,
+        active,
+        message_sizes,
+        compute[0],
+        transfer[0],
+        serialize_master_link,
+        suite,
     )
 
 
@@ -683,13 +667,6 @@ def _draw_timeline_compute(
 
 def _infeasible(plan: ExecutionPlan, vacant_workers: int = 0) -> SimulationError:
     return incomplete_iteration_error(plan.scheme_name, vacant_workers)
-
-
-def _draw_compute_grid(
-    models: Sequence, loads: np.ndarray, rng: RandomState, num_draws: int
-) -> np.ndarray:
-    """Dispatch the grid draw to the models' most specific ``sample_grid``."""
-    return type(models[0]).sample_grid(models, loads, rng, num_draws)
 
 
 # --------------------------------------------------------------------------- #

@@ -41,17 +41,39 @@ completion times at once through two batched paths:
   specific override); subclasses override it to hoist the per-model
   parameter extraction out of the trial loop — or, for draw-free models,
   to fill the whole tensor in one call.
+* ``sample_trials(..., link=(communication, message_sizes))`` — the
+  engine's entry point: compute *and* transfer tensors on the loop engine's
+  stationary schedule (per draw, one compute time per worker in worker
+  order, then one transfer time per worker in completion order). The base
+  implementation broadcasts a draw-free link and otherwise runs that
+  interleave draw by draw. **Fused exponential draws:**
+  :class:`~repro.stragglers.models.ShiftedExponentialDelay` replays the
+  interleave with one ``standard_exponential((num_draws, 2 * num_workers))``
+  block per trial when the link is a fixed term plus exponential jitter
+  (:meth:`~repro.stragglers.communication.CommunicationModel.split_jitter`).
+
+Loads are whole example counts ``>= 1`` on every path: :meth:`_check_load`
+and :meth:`_check_grid_loads` share one rule, so a fractional, NaN or
+boolean load is a :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Union
+import numbers
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, as_generator
+
+if TYPE_CHECKING:
+    from repro.stragglers.communication import CommunicationModel
+
+#: ``(communication model, per-worker message sizes)`` for the link-aware
+#: form of :meth:`DelayModel.sample_trials`.
+Link = Tuple["CommunicationModel", np.ndarray]
 
 __all__ = ["DelayModel"]
 
@@ -115,10 +137,7 @@ class DelayModel(abc.ABC):
         this generic fallback works for arbitrary (even mixed-class) model
         groups at scalar speed.
         """
-        if len(models) != len(loads):
-            raise ConfigurationError(
-                f"got {len(models)} models but {len(loads)} loads"
-            )
+        cls._check_grid_loads(models, loads)
         generator = as_generator(rng)
         out = np.empty((int(num_draws), len(models)), dtype=float)
         for i in range(int(num_draws)):
@@ -133,7 +152,9 @@ class DelayModel(abc.ABC):
         loads: Sequence[int],
         rngs: Sequence[RandomState],
         num_draws: int = 1,
-    ) -> np.ndarray:
+        *,
+        link: Optional[Link] = None,
+    ):
         """Draw a ``(len(rngs), num_draws, len(models))`` tensor of completion
         times — one independent ``(num_draws, num_workers)`` grid per trial.
 
@@ -144,11 +165,43 @@ class DelayModel(abc.ABC):
         per-trial loop below — already one vectorized grid call per trial;
         subclasses hoist the parameter extraction (or, when no randomness is
         consumed at all, fill the tensor in a single call).
+
+        With ``link=(communication, message_sizes)`` the return value is a
+        ``(compute, transfer)`` pair of such tensors on the engine's
+        stationary draw schedule instead: per draw, one compute time per
+        worker in worker order, then one transfer time per worker in
+        compute-completion order (stable sort), ``transfer[t, i, j]`` being
+        worker ``j``'s transfer of ``message_sizes[j]``. A draw-free link
+        consumes nothing, so the compute tensor is drawn as above and the
+        transfers are one broadcast; a stochastic link takes the per-draw
+        interleave below, which subclasses may fuse only when they can
+        prove the identical stream.
         """
-        out = np.empty((len(rngs), int(num_draws), len(models)), dtype=float)
+        if link is None:
+            out = np.empty((len(rngs), int(num_draws), len(models)), dtype=float)
+            for t, rng in enumerate(rngs):
+                out[t] = cls.sample_grid(models, loads, rng, num_draws)
+            return out
+        communication, sizes = cls._link_sizes(models, link)
+        if communication.is_deterministic:
+            compute = cls.sample_trials(models, loads, rngs, num_draws)
+            return compute, np.broadcast_to(
+                communication.sample_batch(sizes), compute.shape
+            )
+        # The stochastic link interleaves its transfer draws between the
+        # compute rows, in each row's completion order.
+        compute = np.empty((len(rngs), int(num_draws), len(models)), dtype=float)
+        transfer = np.empty_like(compute)
         for t, rng in enumerate(rngs):
-            out[t] = cls.sample_grid(models, loads, rng, num_draws)
-        return out
+            generator = as_generator(rng)
+            for i in range(int(num_draws)):
+                row = cls.sample_grid(models, loads, generator, 1)[0]
+                compute[t, i] = row
+                order = np.argsort(row, kind="stable")
+                transfer[t, i, order] = communication.sample_batch(
+                    sizes[order], generator
+                )
+        return compute, transfer
 
     @classmethod
     def sample_timeline(
@@ -190,6 +243,9 @@ class DelayModel(abc.ABC):
         A subclass overriding :meth:`sample` changed the distribution, so
         the defining class's vectorized grid formula would silently diverge
         from the scalar path — such groups must take the generic fallback.
+        Call it on the class that *defines* the formula, never on the
+        dispatch class: a subclass overriding :meth:`sample` dispatches the
+        inherited formula with ``cls`` bound to itself, and would pass.
         """
         return all(
             isinstance(model, cls) and type(model).sample is cls.sample
@@ -228,24 +284,58 @@ class DelayModel(abc.ABC):
 
     # ------------------------------------------------------------------ #
     def _check_load(self, load: int) -> int:
-        if load < 1:
-            raise ConfigurationError(f"load must be a positive number of examples, got {load}")
+        """Return ``load`` as an int: a whole number ``>= 1``, not a bool.
+
+        The scalar form of :func:`_integral_loads`'s rule.
+        """
+        if (
+            isinstance(load, (bool, np.bool_))
+            or not isinstance(load, numbers.Real)
+            or not (isinstance(load, numbers.Integral) or float(load).is_integer())
+            or load < 1
+        ):
+            raise ConfigurationError(
+                f"load must be a positive whole number of examples, got {load!r}"
+            )
         return int(load)
 
     @staticmethod
     def _check_grid_loads(
         models: Sequence["DelayModel"], loads: Sequence[int]
     ) -> np.ndarray:
-        """Validate per-worker grid loads and return them as a float row."""
+        """Validate per-worker grid loads and return them as a float row.
+
+        The same rule as :meth:`_check_load`, applied to every entry.
+        """
         if len(models) != len(loads):
             raise ConfigurationError(f"got {len(models)} models but {len(loads)} loads")
         arr = np.asarray(loads)
-        if arr.ndim != 1 or (arr.size and arr.min() < 1):
+        if (
+            arr.ndim != 1
+            or not _integral_loads(arr)
+            or (
+                not isinstance(loads, np.ndarray)
+                and any(isinstance(load, (bool, np.bool_)) for load in loads)
+            )
+        ):
             raise ConfigurationError(
-                "loads must be a 1-D sequence of positive example counts, "
+                "loads must be a 1-D sequence of positive whole example counts, "
                 f"got {loads!r}"
             )
         return arr.astype(float)
+
+    @staticmethod
+    def _link_sizes(
+        models: Sequence["DelayModel"], link: Link
+    ) -> Tuple["CommunicationModel", np.ndarray]:
+        """Unpack ``link`` and check it has one message size per model."""
+        communication, message_sizes = link
+        sizes = np.asarray(message_sizes, dtype=float)
+        if sizes.shape != (len(models),):
+            raise ConfigurationError(
+                f"got {len(models)} models but message sizes of shape {sizes.shape}"
+            )
+        return communication, sizes
 
     @staticmethod
     def _rng(rng: RandomState) -> np.random.Generator:
@@ -253,3 +343,19 @@ class DelayModel(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+def _integral_loads(values: np.ndarray) -> bool:
+    """The load rule, over a grid: every value is a whole number ``>= 1``.
+
+    Booleans are not loads, and NaN or fractional values fail the test
+    rather than being truncated. :meth:`DelayModel._check_load` applies the
+    same rule to one scalar.
+    """
+    if values.dtype.kind in "iu":
+        return bool(np.all(values >= 1))
+    if values.dtype.kind != "f":
+        return False
+    return bool(
+        np.all(np.isfinite(values) & (values >= 1) & (values == np.floor(values)))
+    )

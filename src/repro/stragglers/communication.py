@@ -10,7 +10,7 @@ function of the message size (in units of one partial-gradient vector).
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,12 +44,14 @@ class CommunicationModel(abc.ABC):
     def is_deterministic(self) -> bool:
         """Whether :meth:`sample` consumes no randomness.
 
-        The vectorized timing engine batches all computation-time draws up
-        front only when the communication model is deterministic (the stream
-        then contains nothing but compute draws in both engines); stochastic
-        models force it onto the per-iteration draw path to keep the RNG
-        consumption order identical to the loop engine. The base class
-        conservatively reports ``False``.
+        A deterministic link lets the vectorized timing engine draw every
+        computation time in one batched call (the stream then holds nothing
+        but compute draws in both engines). A stochastic link interleaves
+        its transfer draws with the compute draws, iteration by iteration;
+        the engine replays that interleave per iteration unless
+        :meth:`split_jitter` proves the draws fuse into one block (see
+        :meth:`DelayModel.sample_trials <repro.stragglers.base.DelayModel.sample_trials>`).
+        The base class conservatively reports ``False``.
         """
         return False
 
@@ -67,34 +69,20 @@ class CommunicationModel(abc.ABC):
         flat = [float(self.sample(float(s), rng=generator)) for s in sizes.ravel()]
         return np.asarray(flat, dtype=float).reshape(sizes.shape)
 
-    def sample_trials(
-        self, message_sizes: np.ndarray, rngs: Sequence[RandomState]
-    ) -> np.ndarray:
-        """Draw a ``(len(rngs), *message_sizes.shape)`` stack of transfer times.
+    def split_jitter(self) -> Optional[Tuple["CommunicationModel", float]]:
+        """``(fixed_part, jitter_mean)`` when every draw is a fixed term plus
+        ``jitter_mean`` times one standard exponential, else ``None``.
 
-        The trials-axis counterpart of :meth:`sample_batch` for batch
-        consumers: trial ``t``'s slice consumes ``rngs[t]`` (and only
-        ``rngs[t]``) exactly like ``sample_batch(message_sizes, rngs[t])``,
-        so each slice is bit-identical to a solo draw at the same seed.
-        Deterministic models (``is_deterministic`` true) draw nothing and
-        collapse the trial axis into one broadcast.
-
-        Note the trial-batched *engine* does not route its transfers through
-        this method: under a deterministic model one :meth:`sample_batch`
-        broadcast covers every trial, and under a stochastic model the
-        draw-order contract forces the per-iteration compute/transfer
-        interleave (in completion order, which differs per trial) — see
-        :mod:`repro.simulation.vectorized`.
+        ``fixed_part`` is a draw-free model whose :meth:`sample_batch` gives
+        the fixed term; a stochastic ``sample_batch(sizes, rng)`` must then
+        equal ``fixed_part.sample_batch(sizes) + jitter_mean *
+        rng.standard_exponential(sizes.shape)`` bit for bit, consuming the
+        same stream. That identity is what lets
+        :meth:`DelayModel.sample_trials <repro.stragglers.base.DelayModel.sample_trials>`
+        fuse the per-iteration compute/transfer interleave into one block
+        draw. The base class cannot prove it and returns ``None``.
         """
-        sizes = np.asarray(message_sizes, dtype=float)
-        if self.is_deterministic:
-            return np.broadcast_to(
-                self.sample_batch(sizes), (len(rngs), *sizes.shape)
-            )
-        out = np.empty((len(rngs), *sizes.shape), dtype=float)
-        for t, rng in enumerate(rngs):
-            out[t] = self.sample_batch(sizes, rng)
-        return out
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -150,6 +138,13 @@ class LinearCommunicationModel(CommunicationModel):
         if type(self).sample is not LinearCommunicationModel.sample:
             return False
         return self.jitter == 0.0
+
+    def split_jitter(self) -> Optional[Tuple[CommunicationModel, float]]:
+        # sample() adds ``jitter * standard exponential`` to the fixed term;
+        # a subclass overriding sample() may not, and jitter zero draws nothing.
+        if type(self).sample is not LinearCommunicationModel.sample or self.jitter == 0.0:
+            return None
+        return LinearCommunicationModel(self.latency, self.seconds_per_unit), self.jitter
 
     def sample_batch(
         self, message_sizes: np.ndarray, rng: RandomState = None

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.stragglers.base import DelayModel
+from repro.stragglers.base import DelayModel, Link
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_in_range, check_nonnegative, check_probability
 
@@ -88,7 +88,9 @@ class ShiftedExponentialDelay(DelayModel):
         rng: RandomState = None,
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("straggling", "shift"))
+        params = ShiftedExponentialDelay._grid_parameters(
+            models, ("straggling", "shift")
+        )
         if params is None:
             return super().sample_grid(models, loads, rng, num_draws)
         stragglings, shifts = params
@@ -108,22 +110,42 @@ class ShiftedExponentialDelay(DelayModel):
         loads: Sequence[int],
         rngs: Sequence[RandomState],
         num_draws: int = 1,
-    ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("straggling", "shift"))
-        if params is None:
-            return super().sample_trials(models, loads, rngs, num_draws)
+        *,
+        link: Optional[Link] = None,
+    ):
+        params = ShiftedExponentialDelay._grid_parameters(
+            models, ("straggling", "shift")
+        )
+        split = None if link is None else link[0].split_jitter()
+        if params is None or (link is not None and split is None):
+            return super().sample_trials(models, loads, rngs, num_draws, link=link)
         stragglings, shifts = params
         loads_row = cls._check_grid_loads(models, loads)
-        scale = loads_row / stragglings
-        base = shifts * loads_row
-        # The (mu, a) extraction above is hoisted out of the trial loop; the
-        # draws themselves stay per trial because every trial consumes its
-        # own independent generator (the sample_trials stream contract).
-        shape = (int(num_draws), len(models))
-        out = np.empty((len(rngs), *shape), dtype=float)
+        n = len(models)
+        if link is not None:
+            _, sizes = cls._link_sizes(models, link)
+        # Every draw is a scaled standard exponential: per draw, n compute
+        # draws in worker order, then (with a link) n jitter draws in
+        # completion order. One C-order block per trial therefore replays
+        # the interleaved stream bit for bit; only the fill is per trial,
+        # because every trial consumes its own generator.
+        width = n if link is None else 2 * n
+        block = np.empty((len(rngs), int(num_draws), width))
         for t, rng in enumerate(rngs):
-            out[t] = base + cls._rng(rng).exponential(scale=scale, size=shape)
-        return out
+            cls._rng(rng).standard_exponential(out=block[t])
+        compute = shifts * loads_row + (loads_row / stragglings) * block[..., :n]
+        if link is None:
+            return compute
+        fixed, jitter = split
+        order = np.argsort(compute, axis=-1, kind="stable")
+        transfer = np.empty_like(compute)
+        np.put_along_axis(
+            transfer,
+            order,
+            fixed.sample_batch(sizes[order]) + jitter * block[..., n:],
+            axis=-1,
+        )
+        return compute, transfer
 
     @classmethod
     def sample_timeline(
@@ -144,7 +166,8 @@ class ShiftedExponentialDelay(DelayModel):
         # cell outside this class's native sampler (fall back below).
         cell_parameters = memoize_by_id(
             lambda model: (float(model.straggling), float(model.shift))
-            if isinstance(model, cls) and type(model).sample is cls.sample
+            if isinstance(model, ShiftedExponentialDelay)
+            and type(model).sample is ShiftedExponentialDelay.sample
             else None
         )
         stragglings = np.empty(shape)
@@ -234,7 +257,9 @@ class DeterministicDelay(DelayModel):
         rng: RandomState = None,
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("seconds_per_example",))
+        params = DeterministicDelay._grid_parameters(
+            models, ("seconds_per_example",)
+        )
         if params is None:
             return super().sample_grid(models, loads, rng, num_draws)
         (rates,) = params
@@ -249,10 +274,16 @@ class DeterministicDelay(DelayModel):
         loads: Sequence[int],
         rngs: Sequence[RandomState],
         num_draws: int = 1,
-    ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("seconds_per_example",))
+        *,
+        link: Optional[Link] = None,
+    ):
+        params = None
+        if link is None:
+            params = DeterministicDelay._grid_parameters(
+                models, ("seconds_per_example",)
+            )
         if params is None:
-            return super().sample_trials(models, loads, rngs, num_draws)
+            return super().sample_trials(models, loads, rngs, num_draws, link=link)
         (rates,) = params
         loads_row = cls._check_grid_loads(models, loads)
         # No randomness at all: the whole (trials, draws, workers) tensor is
@@ -321,7 +352,7 @@ class ParetoDelay(DelayModel):
         rng: RandomState = None,
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("alpha", "scale"))
+        params = ParetoDelay._grid_parameters(models, ("alpha", "scale"))
         if params is None:
             return super().sample_grid(models, loads, rng, num_draws)
         alphas, scales = params
@@ -337,10 +368,14 @@ class ParetoDelay(DelayModel):
         loads: Sequence[int],
         rngs: Sequence[RandomState],
         num_draws: int = 1,
-    ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("alpha", "scale"))
+        *,
+        link: Optional[Link] = None,
+    ):
+        params = None
+        if link is None:
+            params = ParetoDelay._grid_parameters(models, ("alpha", "scale"))
         if params is None:
-            return super().sample_trials(models, loads, rngs, num_draws)
+            return super().sample_trials(models, loads, rngs, num_draws, link=link)
         alphas, scales = params
         loads_row = cls._check_grid_loads(models, loads)
         base = scales * loads_row
@@ -472,7 +507,7 @@ class TraceDelay(DelayModel):
         # *same* trace (one `choice` call per element, same population) with
         # the unmodified scalar sampler; mixed traces and sample() overrides
         # fall back to the generic scalar grid.
-        if not cls._all_native(models):
+        if not TraceDelay._all_native(models):
             return super().sample_grid(models, loads, rng, num_draws)
         trace = models[0].trace
         if not all(
@@ -492,9 +527,11 @@ class TraceDelay(DelayModel):
         loads: Sequence[int],
         rngs: Sequence[RandomState],
         num_draws: int = 1,
-    ) -> np.ndarray:
-        if not cls._all_native(models):
-            return super().sample_trials(models, loads, rngs, num_draws)
+        *,
+        link: Optional[Link] = None,
+    ):
+        if link is not None or not TraceDelay._all_native(models):
+            return super().sample_trials(models, loads, rngs, num_draws, link=link)
         trace = models[0].trace
         if not all(
             model.trace is trace or np.array_equal(model.trace, trace)

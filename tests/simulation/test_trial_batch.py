@@ -23,7 +23,9 @@ from repro.cluster.dynamic import ChurnEvent, DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.schemes.registry import scheme_from_config
+from repro.experiments import ec2_like_cluster
 from repro.simulation import vectorized
+from repro.simulation.job import simulate_job
 from repro.simulation.vectorized import simulate_job_batch, simulate_job_vectorized
 from repro.stragglers.base import DelayModel
 from repro.stragglers.communication import (
@@ -32,8 +34,10 @@ from repro.stragglers.communication import (
 )
 from repro.stragglers.models import (
     DeterministicDelay,
+    ExponentialDelay,
     ParetoDelay,
     ShiftedExponentialDelay,
+    TraceDelay,
 )
 
 NUM_WORKERS = 12
@@ -233,24 +237,224 @@ class TestSampleTrialsContracts:
         for rng, state in zip(rngs, states):
             assert rng.bit_generator.state == state
 
-    def test_communication_sample_trials_slices_match_sample_batch(self):
-        comm = LinearCommunicationModel(latency=0.01, seconds_per_unit=0.1, jitter=0.2)
-        sizes = np.array([1.0, 2.0, 0.5])
-        seeds = [np.random.SeedSequence(i) for i in range(3)]
-        stack = comm.sample_trials(sizes, [np.random.default_rng(s) for s in seeds])
-        assert stack.shape == (3, 3)
-        for t, seed in enumerate(seeds):
-            expected = comm.sample_batch(sizes, np.random.default_rng(seed))
-            np.testing.assert_array_equal(stack[t], expected)
 
-    def test_deterministic_communication_broadcasts_without_drawing(self):
-        comm = LinearCommunicationModel(latency=0.01, seconds_per_unit=0.1)
-        rngs = [np.random.default_rng(i) for i in range(2)]
-        states = [rng.bit_generator.state for rng in rngs]
-        stack = comm.sample_trials(np.array([1.0, 2.0]), rngs)
-        np.testing.assert_array_equal(stack[0], stack[1])
-        for rng, state in zip(rngs, states):
-            assert rng.bit_generator.state == state
+class _DoubledShiftedExponential(ShiftedExponentialDelay):
+    """A sample() override: the fused draw can no longer prove its stream."""
+
+    def sample(self, load, rng=None, size=None):
+        return 2.0 * super().sample(load, rng=rng, size=size)
+
+
+class _DoubledLink(LinearCommunicationModel):
+    """A jittered link whose sample() override must keep the interleave."""
+
+    def sample(self, message_size, rng=None, size=None):
+        return 2.0 * super().sample(message_size, rng=rng, size=size)
+
+
+class _DoubledPareto(ParetoDelay):
+    def sample(self, load, rng=None, size=None):
+        return 2.0 * super().sample(load, rng=rng, size=size)
+
+
+class _DoubledDeterministic(DeterministicDelay):
+    def sample(self, load, rng=None, size=None):
+        return 2.0 * super().sample(load, rng=rng, size=size)
+
+
+class _DoubledTrace(TraceDelay):
+    def sample(self, load, rng=None, size=None):
+        return 2.0 * super().sample(load, rng=rng, size=size)
+
+
+JITTERED = LinearCommunicationModel(latency=0.01, seconds_per_unit=0.02, jitter=0.05)
+FUSED_ITERATIONS = 7
+
+
+def _homogeneous(model, communication=JITTERED) -> ClusterSpec:
+    return ClusterSpec.homogeneous(NUM_WORKERS, model, communication)
+
+
+def _pareto_among_exponentials() -> ClusterSpec:
+    from repro.cluster.spec import WorkerSpec
+
+    models = [ShiftedExponentialDelay(1.5, 0.1)] * (NUM_WORKERS - 1)
+    models.insert(4, ParetoDelay(2.5, 0.05))
+    return ClusterSpec(
+        workers=tuple(
+            WorkerSpec(compute=model, name=f"worker-{i}")
+            for i, model in enumerate(models)
+        ),
+        communication=JITTERED,
+    )
+
+
+#: name -> (cluster factory, scheme config, num_units)
+FUSED_CASES = {
+    "ec2-like": (lambda: ec2_like_cluster(NUM_WORKERS), {"name": "bcc", "load": 6}, 24),
+    "heterogeneous-unequal-sizes": (
+        lambda: make_cluster("generalized-bcc", JITTERED),
+        {"name": "generalized-bcc"},
+        24,
+    ),
+    "exponential": (
+        lambda: _homogeneous(ExponentialDelay(1.2)),
+        {"name": "randomized", "load": 8},
+        24,
+    ),
+}
+
+#: Clusters the fused draw must decline; they keep the per-draw interleave.
+GENERIC_CASES = {
+    "delay-sample-override": (
+        lambda: _homogeneous(_DoubledShiftedExponential(1.5, 0.1)),
+        {"name": "bcc", "load": 6},
+        24,
+    ),
+    "link-sample-override": (
+        lambda: _homogeneous(
+            ShiftedExponentialDelay(1.5, 0.1), _DoubledLink(0.01, 0.02, 0.05)
+        ),
+        {"name": "bcc", "load": 6},
+        24,
+    ),
+    "pareto-worker": (_pareto_among_exponentials, {"name": "bcc", "load": 6}, 24),
+    "pareto-sample-override": (
+        lambda: _homogeneous(_DoubledPareto(2.5, 0.05)),
+        {"name": "bcc", "load": 6},
+        24,
+    ),
+    "deterministic-sample-override": (
+        lambda: _homogeneous(_DoubledDeterministic(0.05)),
+        {"name": "bcc", "load": 6},
+        24,
+    ),
+    "trace-sample-override": (
+        lambda: _homogeneous(_DoubledTrace([0.04, 0.1, 0.25])),
+        {"name": "bcc", "load": 6},
+        24,
+    ),
+    "jitter-zero": (
+        lambda: _homogeneous(
+            ShiftedExponentialDelay(1.5, 0.1), LinearCommunicationModel(0.01, 0.02)
+        ),
+        {"name": "bcc", "load": 6},
+        24,
+    ),
+}
+
+
+def assert_three_engines_agree(case, *, serialize, num_trials=TRIALS):
+    """Loop engine, solo vectorized engine and every batched trial agree
+    bit for bit, and every generator ends in the same state."""
+    make, config, num_units = case
+    cluster = make()
+    scheme = scheme_from_config(config, cluster=cluster)
+    plan = scheme.build_feasible_plan(
+        num_units, cluster.num_workers, np.random.default_rng(99)
+    )
+    seeds = np.random.SeedSequence(8).spawn(num_trials)
+    batch_rngs = [np.random.default_rng(seed) for seed in seeds]
+    batch = simulate_job_batch(
+        plan, cluster, num_units, FUSED_ITERATIONS, batch_rngs,
+        serialize_master_link=serialize,
+    )
+    for trial, seed in enumerate(seeds):
+        loop_rng = np.random.default_rng(seed)
+        loop = simulate_job(
+            plan, cluster, num_units, FUSED_ITERATIONS, loop_rng,
+            serialize_master_link=serialize, engine="loop",
+        )
+        solo_rng = np.random.default_rng(seed)
+        solo = simulate_job_vectorized(
+            plan, cluster, num_units, FUSED_ITERATIONS, solo_rng,
+            serialize_master_link=serialize,
+        )
+        assert list(solo.iterations) == list(loop.iterations)
+        assert list(batch[trial].iterations) == list(loop.iterations), (
+            f"trial {trial} diverged from the loop engine"
+        )
+        state = loop_rng.bit_generator.state
+        assert solo_rng.bit_generator.state == state
+        assert batch_rngs[trial].bit_generator.state == state
+
+
+def _count_draw_calls(monkeypatch):
+    """Count calls into ``sample_trials`` (the engine's draw entry) and into
+    each class's ``sample_grid`` (the per-row draw path)."""
+    calls = {}
+    for owner, name in (
+        (ShiftedExponentialDelay, "sample_trials"),
+        (ShiftedExponentialDelay, "sample_grid"),
+        (DelayModel, "sample_grid"),
+    ):
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
+        original = owner.__dict__[name].__func__
+
+        def counted(cls, *args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, classmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize("serialize", [True, False], ids=["serialized", "parallel"])
+class TestFusedExponentialDraws:
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_fused_clusters_match_the_loop_engine(self, name, serialize):
+        assert_three_engines_agree(FUSED_CASES[name], serialize=serialize)
+
+    @pytest.mark.parametrize("name", sorted(GENERIC_CASES))
+    def test_generic_clusters_match_the_loop_engine(self, name, serialize):
+        assert_three_engines_agree(GENERIC_CASES[name], serialize=serialize)
+
+    def test_trial_chunk_boundary(self, serialize, monkeypatch):
+        # Two trials per chunk: 5 trials split 2 + 2 + 1.
+        monkeypatch.setattr(
+            vectorized, "_BATCH_CELL_BUDGET", 2 * 2 * FUSED_ITERATIONS * NUM_WORKERS
+        )
+        calls = _count_draw_calls(monkeypatch)
+        assert_three_engines_agree(
+            FUSED_CASES["ec2-like"], serialize=serialize, num_trials=5
+        )
+        # 3 chunks plus one solo call per trial.
+        assert calls["ShiftedExponentialDelay.sample_trials"] == 3 + 5
+
+
+class TestFusedDrawCalls:
+    def test_one_sample_trials_call_per_chunk_and_no_grid_rows(self, monkeypatch):
+        cluster = ec2_like_cluster(NUM_WORKERS)
+        scheme = scheme_from_config({"name": "bcc", "load": 6}, cluster=cluster)
+        seeds = np.random.SeedSequence(1).spawn(6)
+        monkeypatch.setattr(
+            vectorized, "_BATCH_CELL_BUDGET", 3 * 2 * FUSED_ITERATIONS * NUM_WORKERS
+        )
+        calls = _count_draw_calls(monkeypatch)
+        simulate_job_batch(scheme, cluster, 24, FUSED_ITERATIONS, seeds)
+        assert calls == {
+            "ShiftedExponentialDelay.sample_trials": 2,
+            "ShiftedExponentialDelay.sample_grid": 0,
+            "DelayModel.sample_grid": 0,
+        }
+
+    def test_generic_path_draws_grid_rows(self, monkeypatch):
+        make, config, num_units = GENERIC_CASES["pareto-worker"]
+        cluster = make()
+        scheme = scheme_from_config(config, cluster=cluster)
+        calls = _count_draw_calls(monkeypatch)
+        simulate_job_batch(
+            scheme, cluster, num_units, FUSED_ITERATIONS,
+            np.random.SeedSequence(1).spawn(2),
+        )
+        # One grid row per iteration of each trial, falling back from the
+        # leading class's grid to the generic one.
+        assert calls == {
+            "ShiftedExponentialDelay.sample_trials": 1,
+            "ShiftedExponentialDelay.sample_grid": 2 * FUSED_ITERATIONS,
+            "DelayModel.sample_grid": 2 * FUSED_ITERATIONS,
+        }
 
 
 class TestRunBatchBackend:
