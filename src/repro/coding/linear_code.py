@@ -107,31 +107,46 @@ class LinearGradientCode:
         return coefficients @ gradients[support]
 
     def decoding_vector(self, workers: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Coefficients ``a`` with ``a^T B[workers] = 1^T``.
+        """Coefficients ``a`` with ``a^T B[W] = 1^T`` for a subset or a stack of subsets.
+
+        ``workers`` is either one subset ``W`` (a 1-D index sequence) or a
+        ``(rows, w)`` stack of equal-size subsets, one per row. A subset
+        decodes when its candidate ``a`` passes the residual test
+        ``max |B[W]^T a - 1| <= decoding_tolerance``; see :meth:`_solve` for
+        how candidates are found.
+
+        Returns
+        -------
+        numpy.ndarray
+            For one subset, its coefficient vector of length ``w``. For a
+            stack, a ``(rows, w)`` array whose row is NaN wherever that
+            subset does not decode.
 
         Raises
         ------
         DecodingError
-            If no such coefficients exist (within tolerance), i.e. the subset
-            is not decodable.
+            If a single subset is not decodable, or the indices are malformed
+            (wrong dimension, non-integer, duplicated within a subset, or out
+            of range).
         """
-        workers = self._check_workers(workers)
-        submatrix = self.encoding_matrix[workers]  # (w, k)
-        target = np.ones(self.num_partitions)
-        solution, *_ = np.linalg.lstsq(submatrix.T, target, rcond=None)
-        residual = submatrix.T @ solution - target
-        if np.max(np.abs(residual)) > self.decoding_tolerance:
+        indices = self._check_workers(workers)
+        if indices.ndim == 2:
+            return self._solve(indices)[0]
+        solutions, residuals = self._solve(indices[np.newaxis])
+        if np.isnan(solutions[0, 0]):
             raise DecodingError(
-                f"worker subset of size {len(workers)} is not decodable for "
-                f"code {self.name!r} (residual {np.max(np.abs(residual)):.2e})"
+                f"worker subset of size {indices.size} is not decodable for "
+                f"code {self.name!r} (residual {residuals[0]:.2e})"
             )
-        return solution
+        return solutions[0]
 
     def is_decodable(self, workers: Sequence[int] | np.ndarray) -> bool:
-        """True when the master can recover the gradient from ``workers``' messages."""
+        """True when the master can recover the gradient from one subset's messages.
+
+        A malformed subset, including a 2-D stack, is not decodable.
+        """
         try:
-            self.decoding_vector(workers)
-            return True
+            return self.decoding_vector(workers).ndim == 1
         except DecodingError:
             return False
 
@@ -149,6 +164,8 @@ class LinearGradientCode:
             Array of shape ``(len(workers), p)``.
         """
         workers = self._check_workers(workers)
+        if workers.ndim != 1:
+            raise DecodingError("decode takes one worker subset, not a stack")
         received = np.asarray(messages, dtype=float)
         if received.ndim != 2 or received.shape[0] != len(workers):
             raise DecodingError(
@@ -174,6 +191,72 @@ class LinearGradientCode:
         raise DecodingError(f"code {self.name!r} is never decodable")
 
     # ------------------------------------------------------------------ #
+    #: A stacked solve factors its rows in blocks whose ``(rows, k, w + 1)``
+    #: augmented systems hold at most about ``2**22`` float64 cells (32 MiB),
+    #: so any stack height fits in bounded memory. Rows are independent, so
+    #: the blocking cannot change a decision.
+    _SOLVE_BLOCK_CELLS = 1 << 22
+
+    def _solve(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Certified coefficients for a ``(rows, w)`` stack of valid subsets.
+
+        Each row's candidate solves ``R a = Q^T 1`` for the QR factorization
+        ``B[W]^T = QR``, batched over the stack. One R-only factorization of
+        the augmented system ``[B[W]^T | 1]`` yields both: its triangular
+        factor holds ``R`` and, in its last column, ``Q^T 1``, so ``Q`` is
+        never formed. A row whose candidate fails the residual test (rank
+        deficient, ``w > k``, or a non-finite solve) gets the minimum-norm
+        least-squares candidate instead, under the same test. Every accepted
+        row therefore carries a verified residual. Returns the ``(rows, w)``
+        coefficients (NaN rows where no candidate passes) and each row's
+        residual.
+        """
+        rows, width = stack.shape
+        k = self.num_partitions
+        solutions = np.full((rows, width), np.nan)
+        residuals = np.full(rows, np.inf)
+        # Row n of the extended matrix is the all-ones target, so one gather
+        # builds every augmented system, already laid out as LAPACK reads it.
+        extended = np.vstack((self.encoding_matrix, np.ones(k)))
+        targets = np.full((rows, 1), self.num_workers)
+        block = max(1, self._SOLVE_BLOCK_CELLS // ((width + 1) * k))
+        for start in range(0, rows if width <= k else 0, block):
+            chunk = slice(start, start + block)
+            augmented = np.swapaxes(
+                extended[np.hstack((stack[chunk], targets[chunk]))], 1, 2
+            )
+            factor = np.linalg.qr(augmented, mode="r")
+            candidates = _back_substitute(
+                factor[:, :width, :width], factor[:, :width, width]
+            )
+            solutions[chunk], residuals[chunk] = self._certify(
+                augmented[:, :, :width], candidates
+            )
+        target = np.ones(k)
+        for row in np.flatnonzero(np.isnan(solutions[:, 0])):
+            system = self.encoding_matrix[stack[row]].T
+            candidate, *_ = np.linalg.lstsq(system, target, rcond=None)
+            certified, residual = self._certify(system[np.newaxis], candidate[np.newaxis])
+            solutions[row], residuals[row] = certified[0], residual[0]
+        return solutions, residuals
+
+    def _certify(
+        self, systems: np.ndarray, candidates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Residual test of ``candidates`` against ``systems @ a = 1``.
+
+        Returns the candidates with every row that misses the tolerance
+        replaced by NaN, and the residuals (infinite for a non-finite one).
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            errors = np.matmul(systems, candidates[..., np.newaxis])[..., 0] - 1.0
+            residuals = np.max(np.abs(errors), axis=1)
+        residuals[~np.isfinite(residuals)] = np.inf
+        certified = np.where(
+            (residuals <= self.decoding_tolerance)[:, np.newaxis], candidates, np.nan
+        )
+        return certified, residuals
+
     def _check_worker(self, worker: int) -> None:
         if not (0 <= worker < self.num_workers):
             raise DecodingError(
@@ -181,16 +264,26 @@ class LinearGradientCode:
             )
 
     def _check_workers(self, workers: Sequence[int] | np.ndarray) -> np.ndarray:
-        indices = np.asarray(workers)
-        if indices.ndim != 1 or indices.size == 0:
-            raise DecodingError("workers must be a non-empty 1-D index sequence")
+        """Validate one subset (1-D) or a ``(rows, w)`` stack of subsets (2-D)."""
+        try:
+            indices = np.asarray(workers)
+        except ValueError as error:  # ragged rows
+            raise DecodingError(
+                "a stack of worker subsets must have equal-size rows"
+            ) from error
+        if indices.ndim not in (1, 2) or indices.size == 0:
+            raise DecodingError(
+                "workers must be a non-empty 1-D index sequence or a 2-D "
+                f"(rows, w) stack of subsets, got shape {indices.shape}"
+            )
         if indices.dtype.kind not in "iu":
             # No truncating cast: a float or boolean index is a caller bug.
             raise DecodingError(
                 f"worker indices must be integers, got {indices.dtype} values"
             )
-        if np.unique(indices).size != indices.size:
-            raise DecodingError("workers must not contain duplicates")
+        ordered = np.sort(indices, axis=-1)
+        if np.any(ordered[..., 1:] == ordered[..., :-1]):
+            raise DecodingError("a worker subset must not contain duplicates")
         if indices.min() < 0 or indices.max() >= self.num_workers:
             raise DecodingError(
                 f"worker indices must lie in [0, {self.num_workers}), got "
@@ -203,3 +296,18 @@ class LinearGradientCode:
             f"{type(self).__name__}(name={self.name!r}, n={self.num_workers}, "
             f"k={self.num_partitions})"
         )
+
+
+def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the stacked upper-triangular systems ``upper @ x = rhs``.
+
+    Column by column from the last, batched over the leading axis. A zero or
+    tiny pivot yields an infinite or NaN row instead of an error, which the
+    residual test then rejects.
+    """
+    solution = np.zeros_like(rhs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(rhs.shape[1] - 1, -1, -1):
+            tail = np.einsum("rj,rj->r", upper[:, j, j + 1 :], solution[:, j + 1 :])
+            solution[:, j] = (rhs[:, j] - tail) / upper[:, j, j]
+    return solution

@@ -99,13 +99,13 @@ class ReedSolomonStyleCode(LinearGradientCode):
 
     @staticmethod
     def _windows_decode(matrix: np.ndarray, n: int, s: int, tolerance: float) -> bool:
-        """Check that every cyclic window of ``n - s`` rows spans the all-ones vector."""
+        """Check that every cyclic window of ``n - s`` rows spans the all-ones vector.
+
+        The ``n`` windows go to the decodability test as one stacked call.
+        """
         probe = LinearGradientCode(matrix, decoding_tolerance=tolerance)
-        for start in range(n):
-            survivors = [(start + offset) % n for offset in range(n - s)]
-            if not probe.is_decodable(survivors):
-                return False
-        return True
+        windows = (np.arange(n)[:, np.newaxis] + np.arange(n - s)) % n
+        return not np.isnan(probe.decoding_vector(windows)[:, 0]).any()
 
     @property
     def recovery_threshold(self) -> int:

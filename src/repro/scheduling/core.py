@@ -25,6 +25,7 @@ from repro.api.spec import JobSpec
 from repro.exceptions import (
     AnalyticIntractableError,
     ConfigurationError,
+    CoverageError,
     ReproError,
     SimulationError,
 )
@@ -336,4 +337,11 @@ def execute_task(task: CellTask) -> List[RunResult]:
         raise SimulationError(
             f"{describe_task(task)} (scheme={spec.scheme!r}) could not "
             f"complete: {error}"
+        ) from error
+    except CoverageError as error:
+        # A placement that can never cover the data (bcc at load 1 on 100
+        # workers, say) names its cell too, keeping its type.
+        raise CoverageError(
+            f"{describe_task(task)} (scheme={spec.scheme!r}) has no feasible "
+            f"placement: {error}"
         ) from error

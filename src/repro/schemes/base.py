@@ -317,12 +317,15 @@ class CodedAggregator(MasterAggregator):
     def is_due(self, count: int) -> bool:
         """Whether the decodability test runs when the ``count``-th worker arrives.
 
-        The (comparatively expensive, O(n^3) rank) test first runs at the
-        worst-case threshold ``n - s``, then every ``check_every`` arrivals
-        after it, plus unconditionally on the last worker so completion is
-        never skipped past. Opportunistic codes (fractional repetition
-        overrides ``is_decodable`` with a cheap group test) are tested on
-        every arrival. Both timing engines take the cadence from here.
+        The test (a QR solve of the received rows, certified by its
+        residual; see :meth:`LinearGradientCode.decoding_vector`) first runs
+        at the worst-case threshold ``n - s``, then every ``check_every``
+        arrivals after it, plus unconditionally on the last worker so
+        completion is never skipped past. Opportunistic codes (fractional
+        repetition overrides ``is_decodable`` with a cheap group test) are
+        tested on every arrival. Both timing engines take the cadence from
+        here; the vectorized one tests every pending row's prefix at a
+        checkpoint in one stacked call.
         """
         if self.opportunistic:
             return True

@@ -52,7 +52,7 @@ class _LinearCodeScheme(Scheme):
     load:
         Computational load ``r``; the code tolerates ``r - 1`` stragglers.
     check_every:
-        Run the master's (O(n^3) rank) decodability test only every this many
+        Run the master's (QR-solve) decodability test only every this many
         arrivals once the worst-case threshold ``n - s`` is reached. ``1``
         (the default) checks every arrival past the threshold.
     """

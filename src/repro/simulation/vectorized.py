@@ -66,7 +66,9 @@ Completion kernels exist for every built-in aggregator: fixed worker set
 coupon-collector coverage (BCC), unit coverage (randomized,
 generalized-BCC), replication-group completion (fractional repetition), and
 a prefix-decodability walk over :meth:`CodedAggregator.is_due`'s
-checkpoints (cyclic repetition, Reed-Solomon). Schemes with a
+checkpoints (cyclic repetition, Reed-Solomon), one stacked
+:meth:`~repro.coding.linear_code.LinearGradientCode.decoding_vector` call
+over the still-pending rows per checkpoint. Schemes with a
 custom aggregator fall back to a scalar completion scan that feeds the
 plan's own aggregator — draws and arrival times stay vectorized, so the
 fallback is still far faster than the loop engine.
@@ -110,6 +112,7 @@ import numpy as np
 from repro.cluster.dynamic import DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.coding.fractional import FractionalRepetitionCode
+from repro.coding.linear_code import LinearGradientCode
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.approximate import PartialSumAggregator
 from repro.schemes.base import (
@@ -798,10 +801,33 @@ def _coded_kernel(
 
     # Generic linear code: test the due checkpoints of each iteration's
     # arrival prefix in order and stop at the first decodable one, exactly
-    # the search CodedAggregator runs (no monotonicity is assumed, so codes
-    # overriding ``is_decodable`` take the same path).
+    # the search CodedAggregator runs (no monotonicity is assumed).
     checkpoints = [rank for rank in range(n_active) if probe.is_due(rank + 1)]
 
+    if (
+        type(code).is_decodable is LinearGradientCode.is_decodable
+        and type(code).decoding_vector is LinearGradientCode.decoding_vector
+    ):
+        # The base class's test: walk checkpoint-major, one stacked
+        # decodability call over the still-pending rows per checkpoint. Each
+        # row's decision is the one is_decodable gives its prefix.
+        def stacked_kernel(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
+            completing = np.full(positions.shape[0], n_active, dtype=int)
+            workers = active[order]
+            pending = np.arange(positions.shape[0])
+            for rank in checkpoints:
+                if pending.size == 0:
+                    break
+                solutions = code.decoding_vector(workers[pending, : rank + 1])
+                decoded = ~np.isnan(solutions[:, 0])
+                completing[pending[decoded]] = rank
+                pending = pending[~decoded]
+            return completing
+
+        return stacked_kernel
+
+    # Codes overriding either method (a 1-D-only ``decoding_vector``, say)
+    # take the test one row and one prefix at a time.
     def walk_kernel(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
         completing = np.full(positions.shape[0], n_active, dtype=int)
         for i in range(positions.shape[0]):

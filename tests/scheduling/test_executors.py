@@ -15,7 +15,8 @@ import pytest
 
 from repro.api import JobSpec, Sweep, TimingSimBackend, run_sweep
 from repro.cluster.spec import ClusterSpec
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, CoverageError
+from repro.experiments import ec2_like_cluster
 from repro.scheduling import (
     AsyncExecutor,
     PoolExecutor,
@@ -225,6 +226,21 @@ class TestPlanShape:
         assert {(cell, trial) for cell, _, trial in entries} == {
             (cell, trial) for cell in range(cells) for trial in range(4)
         }
+
+
+class TestFailureContext:
+    def test_infeasible_placement_names_its_cell(self):
+        # bcc at load 1 on 100 workers: 100 one-unit batches, each worker
+        # picks one at random, so practically no placement covers them all.
+        base = JobSpec(
+            scheme={"name": "bcc", "load": 1},
+            cluster=ec2_like_cluster(100),
+            num_units=100,
+            num_iterations=2,
+        )
+        sweep = Sweep(base, backend=TimingSimBackend(engine="vectorized"))
+        with pytest.raises(CoverageError, match=r"^sweep cell 0 \(scheme="):
+            run_sweep(sweep)
 
 
 class TestPoolReuse:

@@ -349,6 +349,27 @@ class TestKernelParityMatrix:
         )
 
 
+def covering_load(scheme, num_units, num_workers):
+    """Smallest load whose random placement misses some unit w.p. <= 1/2.
+
+    By the union bound one placement attempt leaves a unit uncovered with
+    probability at most ``m (1 - r/m)^n`` for ``randomized`` (every unit is
+    skipped by all ``n`` workers' ``r``-subsets) and ``N (1 - 1/N)^n`` over
+    ``N = ceil(m/r)`` batches for ``bcc``. At or above this load all 100 of
+    ``build_feasible_plan``'s independent attempts fail with probability at
+    most ``2**-100``: every generated job is feasible, up to that chance.
+    Load ``m`` always qualifies (every worker holds every unit).
+    """
+    for load in range(1, num_units + 1):
+        if scheme == "bcc":
+            batches = -(-num_units // load)
+            miss = batches * (1 - 1 / batches) ** num_workers
+        else:
+            miss = num_units * (1 - load / num_units) ** num_workers
+        if miss <= 0.5:
+            return load
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     scheme=st.sampled_from(["uncoded", "bcc", "cyclic-repetition", "randomized"]),
@@ -357,15 +378,16 @@ class TestKernelParityMatrix:
     straggling=st.floats(min_value=0.1, max_value=4.0),
     serialize=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    extra_load=st.integers(min_value=0, max_value=3),
 )
 def test_random_jobs_identical(
-    scheme, num_workers, num_iterations, straggling, serialize, seed
+    scheme, num_workers, num_iterations, straggling, serialize, seed, extra_load
 ):
     """Property: the NumPy kernels == the reference on arbitrary job shapes."""
     if scheme in ("bcc", "randomized"):
-        # Random placement needs ~2x expected coverage to be feasible.
         num_units = num_workers * 2
-        config = {"name": scheme, "load": 2 * num_units // num_workers + 1}
+        load = covering_load(scheme, num_units, num_workers) + extra_load
+        config = {"name": scheme, "load": min(load, num_units)}
     elif scheme == "cyclic-repetition":
         config = {"name": scheme, "load": max(2, num_workers // 4)}
         num_units = num_workers  # coded schemes need m = n
@@ -383,3 +405,12 @@ def test_random_jobs_identical(
             monkeypatch, config, cluster, cluster, num_units,
             num_iterations=num_iterations, rng=seed, serialize_master_link=serialize,
         )
+
+
+def test_covering_load_makes_the_known_infeasible_draw_feasible():
+    # randomized, n = 22, m = 44, seed 4348628 missed a unit in all 100
+    # attempts at the old fixed load of 5.
+    load = covering_load("randomized", 44, 22)
+    assert 5 < load <= 44
+    scheme = scheme_from_config({"name": "randomized", "load": load})
+    assert scheme.build_feasible_plan(44, 22, rng=4348628).can_ever_complete()

@@ -393,7 +393,7 @@ class EvenTailCode(LinearGradientCode):
 
     def is_decodable(self, workers):
         last_even = workers[-1] % 2 == 0 or len(workers) == self.num_workers
-        return last_even and super().is_decodable(workers)
+        return super().is_decodable(workers) and last_even
 
 
 class OverclaimedCode(LinearGradientCode):
@@ -410,18 +410,23 @@ class OverclaimedCode(LinearGradientCode):
 def record_decodability_queries(plan, cluster, num_units, *, seed=11, num_iterations=6):
     """Run both engines on ``plan``, logging every decodability query.
 
-    Returns both results, each engine's query log (the worker prefixes
-    handed to ``is_decodable``, in call order) and the loop engine's
-    per-iteration ``decodability_checks``. The wrapper is set on the code
-    *instance*, so ``type(code).is_decodable`` and every dispatch on it stay
+    The log sits on ``decoding_vector``, the call boundary both engines
+    share: the loop engine's ``is_decodable`` hands it one prefix at a time,
+    the vectorized walk one ``(rows, w)`` stack of pending prefixes per
+    checkpoint. Stacked rows are regrouped by iteration (see
+    :func:`iteration_major`), so both logs list each iteration's prefixes in
+    test order, iteration after iteration. Returns both results, both logs,
+    the loop engine's per-iteration ``decodability_checks`` and the number
+    of ``decoding_vector`` calls the vectorized engine made. The wrapper is
+    set on the code *instance*, so every dispatch on ``type(code)`` stays
     untouched.
     """
     code = plan.new_aggregator().code
-    unwrapped = code.is_decodable
-    queries = []
+    unwrapped = code.decoding_vector
+    calls = []
 
     def logged(workers):
-        queries.append(tuple(workers))
+        calls.append(np.asarray(workers))
         return unwrapped(workers)
 
     aggregators = []
@@ -430,7 +435,7 @@ def record_decodability_queries(plan, cluster, num_units, *, seed=11, num_iterat
         aggregators.append(plan.aggregator_factory())
         return aggregators[-1]
 
-    code.is_decodable = logged
+    code.decoding_vector = logged
     loop = simulate_job(
         dataclasses.replace(plan, aggregator_factory=recording_factory),
         cluster,
@@ -438,12 +443,45 @@ def record_decodability_queries(plan, cluster, num_units, *, seed=11, num_iterat
         num_iterations,
         rng=seed,
     )
-    loop_queries, queries[:] = list(queries), []
+    loop_queries, calls[:] = iteration_major(calls), []
     vectorized = simulate_job_vectorized(
         plan, cluster, num_units, num_iterations, rng=seed
     )
     checks = [aggregator.decodability_checks for aggregator in aggregators]
-    return loop, vectorized, loop_queries, list(queries), checks
+    return loop, vectorized, loop_queries, iteration_major(calls), checks, len(calls)
+
+
+def iteration_major(calls):
+    """Flatten logged ``decoding_vector`` arguments into per-iteration order.
+
+    A 1-D call is one query. A 2-D call is one checkpoint of a walk: its
+    rows are the still-pending iterations' prefixes, in iteration order, so
+    each row extends the previous checkpoint's prefix of the same iteration.
+    A stack no wider than the one before starts a new walk.
+    """
+    queries, groups, pending, width = [], [], [], 0
+    for workers in calls:
+        if workers.ndim == 1:
+            queries.append(tuple(workers.tolist()))
+            continue
+        rows = [tuple(row) for row in workers.tolist()]
+        if workers.shape[1] <= width:
+            queries.extend(query for group in groups for query in group)
+            groups = []
+        if not groups:
+            groups = [[row] for row in rows]
+            pending = list(range(len(rows)))
+        else:
+            candidates, pending = iter(pending), []
+            for row in rows:
+                index = next(
+                    i for i in candidates if row[: len(groups[i][-1])] == groups[i][-1]
+                )
+                groups[index].append(row)
+                pending.append(index)
+        width = workers.shape[1]
+    queries.extend(query for group in groups for query in group)
+    return queries
 
 
 def coded_cluster(num_workers):
@@ -464,15 +502,17 @@ class TestCodedPrefixCompletion:
         cluster = coded_cluster(30)
         config = {"name": name, "load": load, "check_every": check_every}
         plan = scheme_from_config(config, cluster=cluster).build_plan(30, 30, rng=3)
-        loop, vectorized, loop_queries, queries, checks = (
+        loop, vectorized, loop_queries, queries, checks, calls = (
             record_decodability_queries(plan, cluster, 30)
         )
         assert_identical(loop, vectorized)
         assert len(queries) == sum(checks)
         assert queries == loop_queries
         # The worst-case designs decode at the first checkpoint, n - s
-        # arrivals: one decodability solve per iteration.
+        # arrivals: one decodability solve per iteration, all of them in
+        # the vectorized walk's one stacked call.
         assert checks == [1] * loop.num_iterations
+        assert calls == 1
 
     def test_non_monotone_opportunistic_code(self):
         cluster = coded_cluster(12)
@@ -485,12 +525,13 @@ class TestCodedPrefixCompletion:
         plan = dataclasses.replace(
             base, aggregator_factory=lambda: CodedAggregator(code)
         )
-        loop, vectorized, loop_queries, queries, checks = (
+        loop, vectorized, loop_queries, queries, checks, calls = (
             record_decodability_queries(plan, cluster, 12, num_iterations=9)
         )
         assert_identical(loop, vectorized)
         assert queries == loop_queries
         assert len(queries) == sum(checks)
+        assert calls == len(queries)  # the override is asked one prefix at a time
 
     @pytest.mark.parametrize("check_every", [1, 2])
     def test_walk_advances_past_an_undecodable_first_checkpoint(self, check_every):
@@ -504,7 +545,7 @@ class TestCodedPrefixCompletion:
             base,
             aggregator_factory=lambda: CodedAggregator(code, check_every=check_every),
         )
-        loop, vectorized, loop_queries, queries, checks = (
+        loop, vectorized, loop_queries, queries, checks, calls = (
             record_decodability_queries(plan, cluster, 12, num_iterations=12)
         )
         assert_identical(loop, vectorized)
@@ -512,6 +553,8 @@ class TestCodedPrefixCompletion:
         assert len(queries) == sum(checks)
         assert min(len(query) for query in queries) == 12 - code.num_stragglers
         assert max(checks) > 1, "no iteration had to advance past a checkpoint"
+        # One stacked call per checkpoint, until the slowest row decodes.
+        assert calls == max(checks)
 
 
 class TestEngineKnob:
