@@ -383,17 +383,11 @@ def run_sweep(
         under the default ``"spawn"`` seed strategy.
     executor:
         ``"thread"`` (default), ``"process"``, ``"async"``, ``"serial"``,
-        ``"distributed"``, or an
-        :class:`~repro.scheduling.executors.Executor` instance.
+        or an :class:`~repro.scheduling.executors.Executor` instance.
         Process pools give real multi-core speed-up for the CPU-bound
         simulation backends but require picklable specs and backends — see
         the *Parallel sweeps and pickling* section of :doc:`the performance
-        guide </performance>` for the constraints. ``"distributed"``
-        shards the cell tasks across the ``repro serve`` nodes named by
-        the ``REPRO_NODES`` environment variable (pass a configured
-        :class:`~repro.scheduling.distributed.DistributedExecutor` for
-        lease/retry/join control); it ignores ``max_workers`` —
-        concurrency belongs to the nodes.
+        guide </performance>` for the constraints.
     record:
         ``"full"`` (default) keeps every result's per-iteration log;
         ``"summary"`` compacts each result to its aggregate statistics in
@@ -463,9 +457,7 @@ def run_sweep(
             "cells sequentially and cannot run in parallel; use the "
             "'spawn' strategy for parallel sweeps"
         )
-    if parallel or not isinstance(executor, str) or executor == "distributed":
-        # "distributed" executes on remote nodes whatever max_workers says —
-        # a one-task sweep still belongs on the node that may have it cached.
+    if parallel or not isinstance(executor, str):
         runner = resolve_executor(executor, max_workers)
     else:
         # max_workers of None/0/1 has always meant serial execution,

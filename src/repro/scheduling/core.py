@@ -134,6 +134,20 @@ def describe_task(task: CellTask) -> str:
     return f"sweep cell {task.cell}"
 
 
+def _describe_failure(task: CellTask, *fields: str) -> str:
+    """:func:`describe_task` plus the named spec fields it does not show.
+
+    A field the sweep varies is already among the task's parameters, so it
+    is named once, not twice.
+    """
+    extra = ", ".join(
+        f"{field}={getattr(task.spec, field)!r}"
+        for field in fields
+        if field not in task.params
+    )
+    return f"{describe_task(task)} ({extra})" if extra else describe_task(task)
+
+
 def probe_rng_free_plan(spec: JobSpec) -> Optional[ExecutionPlan]:
     """The spec's execution plan if planning consumes no randomness, else None.
 
@@ -325,9 +339,8 @@ def execute_task(task: CellTask) -> List[RunResult]:
         # Surface which sweep cell fell outside the closed-form regime —
         # with dozens of cells, "which configuration?" is the question.
         raise AnalyticIntractableError(
-            f"{describe_task(task)} (scheme={spec.scheme!r}, "
-            f"serialize_master_link={spec.serialize_master_link}) has no "
-            f"closed-form runtime: {error}"
+            f"{_describe_failure(task, 'scheme', 'serialize_master_link')} "
+            f"has no closed-form runtime: {error}"
         ) from error
     except SimulationError as error:
         # Same courtesy for simulation failures: name the cell. The usual
@@ -335,13 +348,12 @@ def execute_task(task: CellTask) -> List[RunResult]:
         # a data unit; the churn ablation driver (repro.experiments.churn)
         # reports such cells as FAILED instead of aborting.
         raise SimulationError(
-            f"{describe_task(task)} (scheme={spec.scheme!r}) could not "
-            f"complete: {error}"
+            f"{_describe_failure(task, 'scheme')} could not complete: {error}"
         ) from error
     except CoverageError as error:
         # A placement that can never cover the data (bcc at load 1 on 100
         # workers, say) names its cell too, keeping its type.
         raise CoverageError(
-            f"{describe_task(task)} (scheme={spec.scheme!r}) has no feasible "
+            f"{_describe_failure(task, 'scheme')} has no feasible "
             f"placement: {error}"
         ) from error

@@ -14,10 +14,6 @@ pins serial == thread == process == async bit-identity).
   task still runs in a worker thread: the simulators are synchronous,
   CPU-bound code). This is the substrate :class:`repro.service.SweepService`
   schedules on, and it doubles as a plain executor via :meth:`execute`.
-* :class:`~repro.scheduling.distributed.DistributedExecutor` — tasks
-  sharded across N ``repro serve`` nodes over TCP with pull-based work
-  stealing and retry-with-reassignment; resolved by name
-  (``"distributed"``) from the ``REPRO_NODES`` environment variable.
 """
 
 from __future__ import annotations
@@ -201,38 +197,12 @@ class AsyncExecutor:
         return asyncio.run(self.execute_async(tasks))
 
 
-def _distributed_from_env(max_workers: Optional[int]) -> object:
-    """Build the ``executor="distributed"`` instance from ``REPRO_NODES``.
-
-    The node list cannot be a hard-coded default, so the *name* form reads
-    it from the environment: a comma-separated ``HOST:PORT,...`` list of
-    running ``repro serve`` nodes. Pass a configured
-    :class:`~repro.scheduling.distributed.DistributedExecutor` instance
-    instead for lease-size/retry/join control. ``max_workers`` is ignored:
-    concurrency is the nodes' affair.
-    """
-    import os
-
-    from repro.scheduling.distributed import DistributedExecutor
-
-    nodes = os.environ.get("REPRO_NODES", "").strip()
-    if not nodes:
-        raise ConfigurationError(
-            "executor='distributed' reads its node list from the "
-            "REPRO_NODES environment variable (comma-separated HOST:PORT "
-            "entries of running 'repro serve' nodes); set it, or pass a "
-            "DistributedExecutor instance"
-        )
-    return DistributedExecutor(nodes)
-
-
 #: ``run_sweep(executor=...)`` string values and their executor factories.
 _EXECUTOR_FACTORIES: dict[str, Callable[[Optional[int]], object]] = {
     "serial": lambda max_workers: SerialExecutor(),
     "thread": lambda max_workers: PoolExecutor("thread", max_workers),
     "process": lambda max_workers: PoolExecutor("process", max_workers),
     "async": lambda max_workers: AsyncExecutor(max_workers),
-    "distributed": _distributed_from_env,
 }
 
 
@@ -241,11 +211,10 @@ def resolve_executor(
 ) -> Executor:
     """Resolve an executor name (or pass an instance through) to an Executor.
 
-    Recognised names: ``"serial"``, ``"thread"``, ``"process"``,
-    ``"async"``, and ``"distributed"`` (node list from the ``REPRO_NODES``
-    environment variable). Instances satisfying the :class:`Executor`
-    protocol pass through unchanged (``max_workers`` is ignored for them —
-    it is baked into the instance).
+    Recognised names: ``"serial"``, ``"thread"``, ``"process"`` and
+    ``"async"``. Instances satisfying the :class:`Executor` protocol pass
+    through unchanged (``max_workers`` is ignored for them — it is baked
+    into the instance).
     """
     if isinstance(executor, str):
         try:

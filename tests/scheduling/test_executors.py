@@ -229,18 +229,26 @@ class TestPlanShape:
 
 
 class TestFailureContext:
-    def test_infeasible_placement_names_its_cell(self):
+    @pytest.mark.parametrize("swept", [False, True], ids=["fixed", "swept"])
+    def test_infeasible_placement_names_its_cell(self, swept):
         # bcc at load 1 on 100 workers: 100 one-unit batches, each worker
         # picks one at random, so practically no placement covers them all.
+        scheme = {"name": "bcc", "load": 1}
         base = JobSpec(
-            scheme={"name": "bcc", "load": 1},
+            scheme=scheme,
             cluster=ec2_like_cluster(100),
             num_units=100,
             num_iterations=2,
         )
-        sweep = Sweep(base, backend=TimingSimBackend(engine="vectorized"))
-        with pytest.raises(CoverageError, match=r"^sweep cell 0 \(scheme="):
+        sweep = Sweep(
+            base,
+            parameters={"scheme": [scheme]} if swept else {},
+            backend=TimingSimBackend(engine="vectorized"),
+        )
+        with pytest.raises(CoverageError, match=r"^sweep cell 0 \(scheme=") as info:
             run_sweep(sweep)
+        # Swept or not, the scheme is named exactly once.
+        assert str(info.value).count("scheme=") == 1
 
 
 class TestPoolReuse:
