@@ -457,9 +457,11 @@ def run_sweep(
             "cells sequentially and cannot run in parallel; use the "
             "'spawn' strategy for parallel sweeps"
         )
-    if parallel or not isinstance(executor, str):
-        runner = resolve_executor(executor, max_workers)
-    else:
+    # Resolving first rejects an unknown or removed name (``"distributed"``)
+    # even when the sweep then runs serially; pools are built lazily, so a
+    # discarded one costs nothing.
+    runner = resolve_executor(executor, max_workers)
+    if isinstance(executor, str) and not parallel:
         # max_workers of None/0/1 has always meant serial execution,
         # whatever the executor name says.
         runner = resolve_executor("serial")

@@ -117,6 +117,21 @@ class TestSweepCommand:
         assert args.backend == "timing"
         assert args.parallel is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--nodes", "127.0.0.1:8123"],
+            ["serve", "--join", "127.0.0.1:8123"],
+        ],
+        ids=["sweep-nodes", "serve-join"],
+    )
+    def test_multi_node_flags_are_gone(self, argv, capsys):
+        # Sweeps run locally; the multi-node flags no longer parse.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_loads_flag_parses_comma_list(self):
         args = build_parser().parse_args(["sweep", "--loads", "2,4,8"])
         assert args.loads == [2, 4, 8]

@@ -15,7 +15,12 @@ import pytest
 
 from repro.api import JobSpec, Sweep, TimingSimBackend, run_sweep
 from repro.cluster.spec import ClusterSpec
-from repro.exceptions import ConfigurationError, CoverageError
+from repro.exceptions import (
+    AnalyticIntractableError,
+    ConfigurationError,
+    CoverageError,
+    SimulationError,
+)
 from repro.experiments import ec2_like_cluster
 from repro.scheduling import (
     AsyncExecutor,
@@ -24,6 +29,7 @@ from repro.scheduling import (
     build_sweep_plan,
     resolve_executor,
 )
+from repro.scheduling.core import execute_task
 from repro.stragglers.models import ShiftedExponentialDelay
 
 EXECUTORS = ("serial", "thread", "process", "async")
@@ -184,6 +190,20 @@ class TestResolveExecutor:
         with pytest.raises(ConfigurationError, match="executor"):
             resolve_executor("gpu", 2)
 
+    def test_distributed_name_is_gone_even_with_nodes_in_the_environment(
+        self, monkeypatch
+    ):
+        # The multi-node executor and its REPRO_NODES variable are removed;
+        # a leftover variable must not resurrect the name.
+        monkeypatch.setenv("REPRO_NODES", "127.0.0.1:8123")
+        with pytest.raises(ConfigurationError, match="distributed") as info:
+            resolve_executor("distributed")
+        assert str(sorted(EXECUTORS)) in str(info.value)
+
+    def test_run_sweep_refuses_the_distributed_name(self):
+        with pytest.raises(ConfigurationError, match="executor must be one of"):
+            run_sweep(make_sweep(trials=1), executor="distributed")
+
     def test_non_executor_instance_rejected(self):
         with pytest.raises(ConfigurationError, match="executor"):
             resolve_executor(object())
@@ -249,6 +269,71 @@ class TestFailureContext:
             run_sweep(sweep)
         # Swept or not, the scheme is named exactly once.
         assert str(info.value).count("scheme=") == 1
+
+    @pytest.mark.parametrize(
+        "error_type, phrase",
+        [
+            (AnalyticIntractableError, "has no closed-form runtime"),
+            (SimulationError, "could not complete"),
+            (CoverageError, "has no feasible placement"),
+        ],
+        ids=["analytic", "simulation", "coverage"],
+    )
+    @pytest.mark.parametrize("swept", [False, True], ids=["fixed", "swept"])
+    def test_every_failure_branch_names_the_scheme_once(
+        self, error_type, phrase, swept
+    ):
+        message = "no luck"
+        plan = failing_plan(error_type(message), swept=swept)
+        with pytest.raises(error_type) as info:
+            execute_task(plan.tasks[0])
+        text = str(info.value)
+        assert text.startswith("sweep cell 0 (")
+        assert f"{phrase}: {message}" in text
+        assert text.count("scheme=") == 1
+        assert isinstance(info.value.__cause__, error_type)
+
+    def test_analytic_failure_names_a_swept_link_flag_once(self):
+        # The closed-form branch names two spec fields; sweeping one of them
+        # must drop only that one from the appended context.
+        plan = failing_plan(
+            AnalyticIntractableError("no luck"),
+            swept=False,
+            parameters={"serialize_master_link": [False]},
+        )
+        with pytest.raises(AnalyticIntractableError) as info:
+            execute_task(plan.tasks[0])
+        text = str(info.value)
+        assert text.count("serialize_master_link=") == 1
+        assert text.count("scheme=") == 1
+        assert text.startswith("sweep cell 0 (serialize_master_link=False) (scheme=")
+
+
+class _FailingBackend:
+    """A backend whose every run raises the given library error."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    def run(self, spec):
+        raise self.error
+
+
+def failing_plan(error, *, swept, parameters=None):
+    scheme = {"name": "bcc", "load": 5}
+    base = JobSpec(
+        scheme=scheme,
+        cluster=ClusterSpec.homogeneous(10, ShiftedExponentialDelay(1.0, 0.5)),
+        num_units=20,
+        num_iterations=2,
+    )
+    if parameters is None:
+        parameters = {"scheme": [scheme]} if swept else {}
+    return build_sweep_plan(
+        Sweep(base, parameters=parameters),
+        backend=_FailingBackend(error),
+        hoist=lambda backend, spec, trials: spec,
+    )
 
 
 class TestPoolReuse:

@@ -72,8 +72,11 @@ class TestMalformedLines:
             (b"\xff\xfe not utf-8\n", "utf-8"),
             (b"{not json\n", "Expecting"),
             (b"[1, 2, 3]\n", "JSON object"),
+            (b'"cells"\n', "JSON object"),
+            (b"null\n", "JSON object"),
+            (b'{"request": "cells"}\n', "unknown request type 'cells'"),
         ],
-        ids=["non-utf8", "not-json", "json-array"],
+        ids=["non-utf8", "not-json", "json-array", "json-string", "json-null", "cells"],
     )
     def test_bad_line_gets_an_error_and_the_connection_keeps_serving(
         self, line, message
@@ -130,6 +133,25 @@ class TestMalformedLines:
         assert "64 KiB" in rejected[0]["error"]
         assert hung_up
         assert answered[-1]["event"] == "done"
+
+    def test_request_just_under_the_limit_is_served(self):
+        # The oversized-line guard must not cost valid requests their room:
+        # a sweep request padded to just under 64 KiB is answered in full.
+        body = json.dumps(SWEEP_REQUEST).encode("utf-8")
+        line = body[:-1] + b" " * (2**16 - len(body) - 2) + b"}\n"
+        assert len(line) == 2**16 - 1
+
+        async def scenario(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(line)
+                return await read_events(reader)
+            finally:
+                writer.close()
+
+        answered = on_live_server(scenario)
+        assert answered[-1]["event"] == "done"
+        assert answered[-1]["records"] == 2
 
 
 class _Canary:
